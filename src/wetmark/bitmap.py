@@ -6,11 +6,28 @@ also PBM's convention, so no inversion happens anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_SIDE = 1 << 16
+# Checked before anything of the image's size is allocated: about twice a
+# 600 dpi A4 scan. MAX_SIDE alone admits 2**32 pixels (34 GB of permutation).
+MAX_PIXELS = 1 << 26
+
+# Whitespace is bytes.isspace's: space, \t, \n, \v, \f and \r.
+_SPACE = re.compile(rb"[ \t\n\v\f\r]*")
+_TOKEN = re.compile(rb"[^ \t\n\v\f\r#]*")
+_COMMENT = re.compile(rb"#[^\r\n]*")
+
+# P1 byte classes: the pixel value of "0" and "1", 2 for whitespace and
+# _P1_INVALID for any other byte.
+_P1_INVALID = 3
+_P1_KIND = np.full(256, _P1_INVALID, dtype=np.uint8)
+_P1_KIND[list(b" \t\n\v\f\r")] = 2
+_P1_KIND[ord("0")], _P1_KIND[ord("1")] = 0, 1
+_P1_CHUNK = 1 << 16  # body bytes classified at a time
 
 
 class PbmError(ValueError):
@@ -30,6 +47,8 @@ class BinaryImage:
             raise ValueError("dimensions must be positive")
         if self.width > MAX_SIDE or self.height > MAX_SIDE:
             raise ValueError(f"dimensions exceed {MAX_SIDE}")
+        if self.width * self.height > MAX_PIXELS:
+            raise ValueError(f"image exceeds {MAX_PIXELS} pixels")
         bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
         if bits.shape != (self.width * self.height,):
             raise ValueError("bits length must equal width*height")
@@ -49,23 +68,38 @@ class BinaryImage:
                 and np.array_equal(self.bits, other.bits))
 
 
-def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    pos = 0
-    n = len(data)
-    while True:
-        while pos < n and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < n and data[pos] == ord("#"):
-            while pos < n and data[pos] not in (10, 13):
-                pos += 1
-            continue
-        if pos >= n:
-            return
-        start = pos
-        while pos < n and not data[pos:pos + 1].isspace() and data[pos] != ord("#"):
-            pos += 1
-        yield start, data[start:pos]
+def _skip(data: bytes, pos: int) -> int:
+    """Offset of the first byte at or after ``pos`` that is neither
+    whitespace nor inside a ``#`` comment."""
+    pos = _SPACE.match(data, pos).end()
+    while data.startswith(b"#", pos):
+        pos = _SPACE.match(data, _COMMENT.match(data, pos).end()).end()
+    return pos
+
+
+def _parse_p1(data: bytes, pos: int, width: int, height: int) -> BinaryImage:
+    """The P1 body from ``pos``: comments only before the first sample.
+
+    Classified a chunk at a time, so temporaries stay small beside the
+    image and chunks after the last needed sample are never read.
+    """
+    need = width * height
+    bits = np.empty(need, dtype=np.uint8)
+    count = 0
+    body = np.frombuffer(data, dtype=np.uint8, offset=_skip(data, pos))
+    for start in range(0, body.size, _P1_CHUNK):
+        kind = _P1_KIND[body[start:start + _P1_CHUNK]]
+        invalid = kind == _P1_INVALID
+        bad = int(invalid.argmax()) if invalid.any() else kind.size
+        head = kind[:bad]
+        samples = head[head < 2][:need - count]
+        bits[count:count + samples.size] = samples
+        count += samples.size
+        if count == need:
+            return BinaryImage(width, height, bits)
+        if bad < kind.size:
+            raise PbmError(f"invalid P1 sample byte {body[start + bad]:#x}")
+    raise PbmError("truncated P1 payload")
 
 
 def parse_pbm(data: bytes) -> BinaryImage:
@@ -76,58 +110,34 @@ def parse_pbm(data: bytes) -> BinaryImage:
     if magic not in (b"P1", b"P4"):
         raise PbmError(f"unsupported magic {magic!r}")
 
-    toks = _tokens(data[2:])
+    tokens, body_off = [], 2  # width and height, read in place
+    for _ in range(2):
+        start = _skip(data, body_off)
+        body_off = _TOKEN.match(data, start).end()
+        if body_off == start:
+            raise PbmError("missing dimensions")
+        tokens.append(data[start:body_off])
     try:
-        _, wtok = next(toks)
-        _, htok = next(toks)
-    except StopIteration:
-        raise PbmError("missing dimensions") from None
-    try:
-        width, height = int(wtok), int(htok)
+        width, height = map(int, tokens)
     except ValueError:
         raise PbmError("non-numeric dimensions") from None
     if width < 1 or height < 1:
         raise PbmError("non-positive dimensions")
     if width > MAX_SIDE or height > MAX_SIDE:
         raise PbmError(f"dimensions exceed {MAX_SIDE}")
-
-    # Locate the end of the height token so the payload can be parsed raw.
-    toks_raw = _tokens(data[2:])
-    next(toks_raw)
-    hstart, htok2 = next(toks_raw)
-    body_off = 2 + hstart + len(htok2)
+    if width * height > MAX_PIXELS:
+        raise PbmError(f"image exceeds {MAX_PIXELS} pixels")
 
     if magic == b"P1":
-        pos = body_off
-        n = len(data)
-        # Comments permitted only before the first sample.
-        while pos < n:
-            if data[pos:pos + 1].isspace():
-                pos += 1
-            elif data[pos] == ord("#"):
-                while pos < n and data[pos] not in (10, 13):
-                    pos += 1
-            else:
-                break
-        need = width * height
-        samples = np.empty(need, dtype=np.uint8)
-        count = 0
-        while pos < n and count < need:
-            ch = data[pos]
-            if ch == ord("0"):
-                samples[count] = 0
-                count += 1
-            elif ch == ord("1"):
-                samples[count] = 1
-                count += 1
-            elif not data[pos:pos + 1].isspace():
-                raise PbmError(f"invalid P1 sample byte {ch:#x}")
-            pos += 1
-        if count < need:
-            raise PbmError("truncated P1 payload")
-        return BinaryImage(width, height, samples)
+        return _parse_p1(data, body_off, width, height)
 
-    # P4: exactly one whitespace byte after the height token, then packed rows.
+    # P4: one delimiter byte after the height token, then packed rows. The
+    # height token ends at whitespace, at a comment or at the end of the
+    # data; a comment's terminating CR/LF is the delimiter.
+    if data.startswith(b"#", body_off):
+        body_off = _COMMENT.match(data, body_off).end()
+        if body_off == len(data):
+            raise PbmError("unterminated comment after P4 dimensions")
     payload_off = body_off + 1
     row_bytes = (width + 7) // 8
     need = row_bytes * height
@@ -140,14 +150,17 @@ def parse_pbm(data: bytes) -> BinaryImage:
 
 
 def serialize_pbm(img: BinaryImage, fmt: str = "P4") -> bytes:
-    """Serialize to P1 or P4; parse(serialize(img)) == img."""
+    """Serialize to P1 or P4; parse(serialize(img)) == img.
+
+    P1 writes one text line per image row, its samples separated by
+    single spaces.
+    """
     fmt = fmt.upper()
     if fmt == "P1":
-        lines = [b"P1", f"{img.width} {img.height}".encode()]
-        for y in range(img.height):
-            row = img.grid()[y]
-            lines.append(" ".join(str(int(b)) for b in row).encode())
-        return b"\n".join(lines) + b"\n"
+        text = np.full((img.height, 2 * img.width), ord(" "), dtype=np.uint8)
+        np.add(img.grid(), ord("0"), out=text[:, 0::2])
+        text[:, -1] = ord("\n")
+        return f"P1\n{img.width} {img.height}\n".encode() + text.tobytes()
     if fmt == "P4":
         packed = np.packbits(img.grid(), axis=1)  # MSB-first, zero pad
         header = f"P4\n{img.width} {img.height}\n".encode()

@@ -62,22 +62,11 @@ def derive_seed(key: StegoKey, tag: int, area: int = 0) -> int:
     return mix64(fnv1a64(key.key_bytes) ^ tag ^ ((area * GAMMA) & MASK64))
 
 
-class KeyedStream:
-    """Sequential SplitMix64 word stream."""
-
-    def __init__(self, seed: int):
-        self.state = seed & MASK64
-
-    def next_word(self) -> int:
-        self.state = (self.state + GAMMA) & MASK64
-        return mix64(self.state)
-
-
 def stream_words(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Words ``offset .. offset+count-1`` of the stream, vectorized.
 
-    Word i equals mix64(seed + (i+1)*GAMMA); identical to calling
-    ``next_word`` i+1 times on a fresh stream.
+    Word i equals mix64(seed + (i+1)*GAMMA), the (i+1)-th output of a
+    sequential SplitMix64 stream started at ``seed``.
     """
     z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):  # in place: one temporary at a time
@@ -184,8 +173,3 @@ def matrix_words(key: StegoKey, area: int, rows: int, cols: int,
         words[:, -1] &= np.uint64((1 << tail) - 1)
     return words
 
-
-def matrix_rows(key: StegoKey, area: int, rows: int, cols: int) -> list[int]:
-    """Rows as Python ints (bit j of the int = column j)."""
-    words = matrix_words(key, area, rows, cols)
-    return [int.from_bytes(words[r].tobytes(), "little") for r in range(rows)]

@@ -1,0 +1,128 @@
+"""Reference implementations that only the tests use.
+
+They are the plain loops the library replaced with whole-array code, kept
+as oracles: the tests require the library to agree with them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from wetmark.bitmap import MAX_SIDE, BinaryImage, PbmError
+from wetmark.prng import GAMMA, MASK64, StegoKey, matrix_words, mix64
+
+
+class KeyedStream:
+    """Sequential SplitMix64 word stream."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_word(self) -> int:
+        self.state = (self.state + GAMMA) & MASK64
+        return mix64(self.state)
+
+
+def matrix_rows(key: StegoKey, area: int, rows: int, cols: int) -> list[int]:
+    """Rows as Python ints (bit j of the int = column j)."""
+    words = matrix_words(key, area, rows, cols)
+    return [int.from_bytes(words[r].tobytes(), "little") for r in range(rows)]
+
+
+def _tokens(data: bytes):
+    """Yield whitespace-separated header tokens, skipping # comments."""
+    pos = 0
+    n = len(data)
+    while True:
+        while pos < n and data[pos:pos + 1].isspace():
+            pos += 1
+        if pos < n and data[pos] == ord("#"):
+            while pos < n and data[pos] not in (10, 13):
+                pos += 1
+            continue
+        if pos >= n:
+            return
+        start = pos
+        while pos < n and not data[pos:pos + 1].isspace() and data[pos] != ord("#"):
+            pos += 1
+        yield start, data[start:pos]
+
+
+def oracle_parse_pbm(data: bytes) -> BinaryImage:
+    """Parse a P1 (ASCII) or P4 (binary) PBM byte stream, byte by byte."""
+    if len(data) < 2:
+        raise PbmError("truncated header")
+    magic = data[:2]
+    if magic not in (b"P1", b"P4"):
+        raise PbmError(f"unsupported magic {magic!r}")
+
+    toks = _tokens(data[2:])
+    try:
+        _, wtok = next(toks)
+        _, htok = next(toks)
+    except StopIteration:
+        raise PbmError("missing dimensions") from None
+    try:
+        width, height = int(wtok), int(htok)
+    except ValueError:
+        raise PbmError("non-numeric dimensions") from None
+    if width < 1 or height < 1:
+        raise PbmError("non-positive dimensions")
+    if width > MAX_SIDE or height > MAX_SIDE:
+        raise PbmError(f"dimensions exceed {MAX_SIDE}")
+
+    # Locate the end of the height token so the payload can be parsed raw.
+    toks_raw = _tokens(data[2:])
+    next(toks_raw)
+    hstart, htok2 = next(toks_raw)
+    body_off = 2 + hstart + len(htok2)
+
+    if magic == b"P1":
+        pos = body_off
+        n = len(data)
+        # Comments permitted only before the first sample.
+        while pos < n:
+            if data[pos:pos + 1].isspace():
+                pos += 1
+            elif data[pos] == ord("#"):
+                while pos < n and data[pos] not in (10, 13):
+                    pos += 1
+            else:
+                break
+        need = width * height
+        samples = np.empty(need, dtype=np.uint8)
+        count = 0
+        while pos < n and count < need:
+            ch = data[pos]
+            if ch == ord("0"):
+                samples[count] = 0
+                count += 1
+            elif ch == ord("1"):
+                samples[count] = 1
+                count += 1
+            elif not data[pos:pos + 1].isspace():
+                raise PbmError(f"invalid P1 sample byte {ch:#x}")
+            pos += 1
+        if count < need:
+            raise PbmError("truncated P1 payload")
+        return BinaryImage(width, height, samples)
+
+    # P4: exactly one whitespace byte after the height token, then packed rows.
+    payload_off = body_off + 1
+    row_bytes = (width + 7) // 8
+    need = row_bytes * height
+    payload = data[payload_off:payload_off + need]
+    if len(payload) < need:
+        raise PbmError("truncated P4 payload")
+    rows = np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes)
+    unpacked = np.unpackbits(rows, axis=1)[:, :width]  # MSB-first, pad dropped
+    return BinaryImage(width, height, unpacked.reshape(-1).copy())
+
+
+def oracle_serialize_p1(img: BinaryImage) -> bytes:
+    """P1 text, one row per line, built with str.join."""
+    lines = [b"P1", f"{img.width} {img.height}".encode()]
+    for y in range(img.height):
+        row = img.grid()[y]
+        lines.append(" ".join(str(int(b)) for b in row).encode())
+    return b"\n".join(lines) + b"\n"

@@ -16,7 +16,7 @@ import wetmark as wm
 from wetmark import gf2
 from wetmark.bitmap import parse_pbm, serialize_pbm
 from wetmark.pipeline import MessageTooLongError, plan
-from wetmark.prng import StegoKey, matrix_rows
+from wetmark.prng import StegoKey
 from wetmark.wpc import (
     AREA_SIZE,
     AreaCodec,
@@ -28,6 +28,7 @@ from wetmark.wpc import (
 )
 
 from conftest import synth_image
+from reference import matrix_rows
 from test_flippability import _dihedral_mappings, _transform_code, oracle_is_flippable
 from test_gf2 import brute_solutions, oracle_prefix
 

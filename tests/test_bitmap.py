@@ -1,8 +1,22 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wetmark.bitmap import BinaryImage, PbmError, flip_pixel, parse_pbm, serialize_pbm
+from wetmark import bitmap
+from wetmark.bitmap import (
+    MAX_PIXELS,
+    MAX_SIDE,
+    BinaryImage,
+    PbmError,
+    flip_pixel,
+    parse_pbm,
+    serialize_pbm,
+)
+
+from reference import oracle_parse_pbm, oracle_serialize_p1
 
 
 def test_parse_p1_basic():
@@ -40,6 +54,9 @@ def test_parse_p4_multirow():
     b"P4\n10 2\n\xff",         # truncated P4 payload
     b"P1\n",                   # missing dimensions
     b"P1\n2 two\n1010",        # non-numeric dimension
+    b"P4\n8 1",                # no delimiter after the height
+    b"P4\n8 1x\xff",           # no delimiter: "1x" is the height token
+    b"P4\n8 1#c",              # unterminated comment after the height
 ])
 def test_parse_errors(data):
     with pytest.raises(PbmError):
@@ -64,6 +81,97 @@ def test_roundtrip_property(w, h, seed, fmt):
     bits = np.random.default_rng(seed).integers(0, 2, w * h).astype(np.uint8)
     img = BinaryImage(w, h, bits)
     assert parse_pbm(serialize_pbm(img, fmt)) == img
+    if fmt == "P1":
+        assert serialize_pbm(img, fmt) == oracle_serialize_p1(img)
+
+
+def test_p4_comment_after_height_is_not_raster_data():
+    # The comment's terminating CR or LF is the single delimiter byte.
+    assert parse_pbm(b"P4\n8 1#c\n\xff").bits.tolist() == [1] * 8
+    assert parse_pbm(b"P4\n8 1#c\r\x0f").bits.tolist() == [0] * 4 + [1] * 4
+
+
+@pytest.mark.parametrize("magic", [b"P1", b"P4"])
+def test_pixel_cap_checked_before_allocation(magic):
+    tracemalloc.start()
+    try:
+        with pytest.raises(PbmError, match=f"exceeds {MAX_PIXELS} pixels"):
+            parse_pbm(magic + b"\n65536 65536\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # The cap itself is allowed; this image fails on its missing payload.
+    with pytest.raises(PbmError, match="truncated"):
+        parse_pbm(magic + b"\n8192 8192\n")
+    assert 8192 * 8192 == MAX_PIXELS
+
+
+# --- differential fuzzing against the byte-by-byte reference parser -------
+
+_PBM_BYTES = st.one_of(st.sampled_from(list(b"01 \t\n\v\f\r#9x")),
+                       st.integers(0, 255))
+
+
+@st.composite
+def _mutated_pbm(draw):
+    """A valid P1 or P4 file, with random separators for P1, then mutated."""
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=w * h, max_size=w * h))
+    img = BinaryImage(w, h, np.array(bits, dtype=np.uint8))
+    if draw(st.booleans()):
+        data = bytearray(serialize_pbm(img, "P4"))
+    else:
+        seps = st.sampled_from([b"", b" ", b"\n", b"\t\r\n", b" # c\n"])
+        data = bytearray(draw(seps).join([b"P1", str(w).encode(), str(h).encode()]))
+        for b in bits:
+            data += draw(seps) + str(b).encode()
+        data += draw(seps)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+        pos = draw(st.integers(0, len(data)))
+        if op == "set" and pos < len(data):
+            data[pos] = draw(_PBM_BYTES)
+        elif op == "insert":
+            data[pos:pos] = bytes(draw(st.lists(_PBM_BYTES, min_size=1, max_size=4)))
+        elif op == "delete":
+            del data[pos:pos + draw(st.integers(1, 4))]
+        elif op == "truncate":
+            del data[pos:]
+    return bytes(data)
+
+
+def _outcome(parse, data):
+    try:
+        img = parse(data)
+    except PbmError as exc:
+        return str(exc)
+    return img.width, img.height, img.bits.tolist()
+
+
+@given(st.one_of(
+    _mutated_pbm(),
+    st.binary(max_size=64),
+    st.builds(bytes.__add__, st.sampled_from([b"P1", b"P4"]),
+              st.binary(max_size=64)),
+))
+@settings(max_examples=600)
+def test_parse_fuzz_against_oracle(data):
+    # Any exception other than PbmError fails the test.
+    got = _outcome(parse_pbm, data)
+    if isinstance(got, tuple):
+        img = parse_pbm(data)
+        assert img.bits.size == img.width * img.height
+        assert set(img.bits.tolist()) <= {0, 1}
+        for fmt in ("P1", "P4"):
+            assert parse_pbm(serialize_pbm(img, fmt)) == img
+        assert serialize_pbm(img, "P1") == oracle_serialize_p1(img)
+    # P4 is left out: a comment after its height is no longer raster data.
+    # Over the pixel cap, the reference would allocate the image.
+    if data.startswith(b"P1") and got != f"image exceeds {MAX_PIXELS} pixels":
+        assert got == _outcome(oracle_parse_pbm, data)
+        with mock.patch.object(bitmap, "_P1_CHUNK", 3):  # many chunk edges
+            assert _outcome(parse_pbm, data) == got
 
 
 def test_flip_pixel_involution():
@@ -90,6 +198,8 @@ def test_image_invariants():
         BinaryImage(2, 2, np.array([0, 1, 2, 0], dtype=np.uint8))
     with pytest.raises(ValueError):
         BinaryImage(0, 2, np.zeros(0, dtype=np.uint8))
+    with pytest.raises(ValueError, match="pixels"):
+        BinaryImage(MAX_SIDE, MAX_SIDE, np.zeros(0, dtype=np.uint8))
 
 
 def test_image_is_immutable():

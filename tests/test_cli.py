@@ -116,6 +116,13 @@ def test_bad_input_io_error(tmp_path):
                 "--out", tmp_path / "o.bin"]) == 3
 
 
+@pytest.mark.parametrize("magic", [b"P1", b"P4"])
+def test_pixel_cap_io_error(tmp_path, magic):
+    huge = tmp_path / "huge.pbm"
+    huge.write_bytes(magic + b"\n65536 65536\n")
+    assert run(["capacity", "--in", huge, "--key", "k"]) == 3
+
+
 def test_analyze(tmp_path, cover, capsys):
     mask_path = tmp_path / "mask.pbm"
     assert run(["analyze", "--in", cover, "--out", mask_path]) == 0

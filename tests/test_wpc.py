@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wetmark import gf2
-from wetmark.prng import StegoKey, matrix_rows
+from wetmark.prng import StegoKey
 from wetmark.wpc import (
     AreaBatch,
     AreaCodec,
@@ -13,6 +13,8 @@ from wetmark.wpc import (
     plan_message,
     unpack_bits,
 )
+
+from reference import matrix_rows
 
 
 def toy_codec(key=b"toy", area=0, n=16):
