@@ -122,5 +122,4 @@ def compute_mask(img: BinaryImage) -> FlippabilityMask:
     hit = FLIP_TABLE[codes]
     ys, xs = np.nonzero(hit)
     indices = (ys + 1).astype(np.int64) * img.width + (xs + 1)
-    indices.sort()
     return FlippabilityMask(img.width, img.height, indices)

@@ -1,16 +1,10 @@
 """Bit-packed linear algebra over GF(2).
 
-Two row representations are supported: Python ints as bitsets (bit j of
-a row int = column j) for the small/int-friendly API, and numpy uint64
-word matrices (bit j in word j//64 at position j%64) for the hot paths.
-Both go through the same elimination, and free variables are fixed to 0,
-so results agree exactly.
-
-Elimination is vectorised over rows and over systems: systems are
-stacked and reduced in lock step, one column per step. A system
-is eliminated once; its ``Echelon`` then gives the longest linearly
-independent prefix of its rows and solves any leading block of its rows
-for any right-hand side.
+Rows are numpy uint64 word matrices: bit j of a row is bit j%64 of word
+j//64. Systems are stacked and eliminated once, in lock step, by an
+``Echelon``; it then gives the longest linearly independent prefix of
+each system's rows and solves any leading block of them for any
+right-hand side, with free variables 0.
 """
 
 from __future__ import annotations
@@ -21,84 +15,57 @@ _ONE = np.uint64(1)
 _SHIFT = np.arange(64, dtype=np.uint64)
 
 
-def words_to_int(words: np.ndarray) -> int:
-    return int.from_bytes(np.ascontiguousarray(words, dtype=np.uint64).tobytes(),
-                          "little")
-
-
-def int_to_words(value: int, nbits: int) -> np.ndarray:
-    nwords = max(1, (nbits + 63) // 64)
-    return np.frombuffer(value.to_bytes(nwords * 8, "little"),
-                         dtype=np.uint64).copy()
-
-
-def rows_to_words(rows: list[int], cols: int) -> np.ndarray:
-    nwords = max(1, (cols + 63) // 64)
-    out = np.empty((len(rows), nwords), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        out[i] = np.frombuffer(row.to_bytes(nwords * 8, "little"),
-                               dtype=np.uint64)
-    return out
-
-
-def bits_to_int(bits) -> int:
-    """LSB-first: bits[j] becomes bit j."""
-    out = 0
-    for j, b in enumerate(bits):
-        if b:
-            out |= 1 << j
-    return out
-
-
-def int_to_bits(value: int, n: int) -> np.ndarray:
-    return np.array([(value >> j) & 1 for j in range(n)], dtype=np.uint8)
-
-
-def mat_vec(rows: list[int], x: int) -> int:
-    """M @ x over GF(2); output bit i = parity of row i AND x."""
-    out = 0
-    for i, row in enumerate(rows):
-        if (row & x).bit_count() & 1:
-            out |= 1 << i
-    return out
-
-
 def mat_vec_words(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-parity products for word-packed rows; returns uint8 bits."""
     counts = np.bitwise_count(rows & x).sum(axis=1)
     return (counts & 1).astype(np.uint8)
 
 
-class _Stack:
-    """Systems stacked to one height, reduced in lock step, column by column.
+class Echelon:
+    """Stacked systems, eliminated once for any number of later solves.
 
-    ``h`` has shape (words, rows, systems): the systems axis is innermost,
-    so every vector operation runs over all systems at once. Step c takes
-    column c in every system that still has it in a remaining row: the
-    first such row is the pivot, and it is added to each remaining row
-    with that column, itself included. Pivots thus leave the stack as
-    zero rows, and the rows left at the end are exactly the dependent
-    ones. A row only ever receives earlier rows, which makes rows 0..q-1
-    of a system come out as they would on their own, for every q.
+    System i is rows ``starts[i] .. starts[i]+sizes[i]-1`` of the word
+    matrix it was made from. The systems are stacked to one height,
+    padded with zero rows to the largest, in a (words, rows, systems)
+    array: the systems axis is innermost, so every vector operation runs
+    over all systems at once. They are reduced in lock step, column by
+    column. Step c takes column c in every system that still has it in a
+    remaining row: the first such row is the pivot, and it is added to
+    each remaining row with that column, itself included. Pivots thus
+    leave the stack as zero rows, and the rows left at the end are
+    exactly the dependent ones. A row only ever receives earlier rows,
+    which makes rows 0..q-1 of a system come out as they would on their
+    own, for every q.
     """
 
-    def __init__(self, h: np.ndarray):
-        words, rows, count = h.shape
-        self.rows, self.words = rows, words
+    def __init__(self, rows: np.ndarray, sizes):
+        rows = np.ascontiguousarray(rows, dtype=np.uint64)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        total, count = len(rows), len(self.sizes)
+        if self.sizes.sum() != total:
+            raise ValueError("sizes must add up to the row count")
+        words = self.words = rows.shape[1]
+        starts = np.cumsum(self.sizes) - self.sizes
+        # Where each given row sits in the padded stack.
+        self._system = np.repeat(np.arange(count), self.sizes)
+        self._local = np.arange(total) - np.repeat(starts, self.sizes)
+        height = self.height = int(self.sizes.max(initial=0))
+        h = np.zeros((words, height, count), dtype=np.uint64)
+        h[:, self._local, self._system] = rows.T
         systems = np.arange(count)
-        scratch = np.empty((rows, count), dtype=np.uint64)
+        scratch = np.empty((height, count), dtype=np.uint64)
         # One record per column that has a pivot in some system.
         width = 64 * words
         self.top = np.zeros(width, dtype=np.int64)  # first remaining row
         self.col = np.zeros(width, dtype=np.int64)
         self.pivot_row = np.full((width, count), -1)  # -1: no pivot
         self.pivot = np.zeros((width, count, words), dtype=np.uint64)
-        self.adds = np.zeros((width, rows, (count + 7) // 8), dtype=np.uint8)
+        self.adds = np.zeros((width, height, (count + 7) // 8), dtype=np.uint8)
         t = top = 0
         for c in range(width):
-            while top < rows and not h[:, top].any():
+            while top < height and not h[:, top].any():
                 top += 1
-            if top == rows:
+            if top == height:
                 break
             w = c >> 6
             has = (h[w, top:] >> _SHIFT[c & 63]) & _ONE
@@ -118,59 +85,11 @@ class _Stack:
             self.adds[t, top:] = np.packbits(adds, axis=1)
             t += 1
         self.steps = t
-        pivoted = np.zeros((rows + 1, count), dtype=bool)
+        pivoted = np.zeros((height + 1, count), dtype=bool)
         pivoted[self.pivot_row[:t], systems] = True
         pivoted[-1] = False  # where the -1s landed
         # the longest prefix of rows that are independent
         self.prefix = np.argmin(pivoted, axis=0)
-
-    def solve(self, rhs: np.ndarray, use: np.ndarray):
-        """Solve rows 0..use[i]-1 of each system for rhs (rows, systems).
-
-        Returns the packed solutions (systems, words) with free variables
-        0, and whether each block was consistent.
-        """
-        rhs = rhs.copy()
-        count = rhs.shape[1]
-        systems = np.arange(count)
-        carried = np.zeros((self.steps, count), dtype=np.uint8)
-        for t in range(self.steps):
-            top, rows = self.top[t], self.pivot_row[t]
-            carried[t] = rhs[rows, systems] & (rows >= 0)
-            rhs[top:] ^= np.unpackbits(self.adds[t, top:], axis=1,
-                                       count=count) & carried[t]
-        inside = np.arange(self.rows)[:, None] < use
-        consistent = ~(rhs.astype(bool) & inside).any(axis=0)
-        v = np.zeros((count, self.words), dtype=np.uint64)
-        for t in reversed(range(self.steps)):
-            c, rows = self.col[t], self.pivot_row[t]
-            parity = np.bitwise_count(self.pivot[t] & v).sum(axis=1) & 1
-            x = (carried[t] ^ parity) & (rows >= 0) & (rows < use)
-            v[:, c >> 6] |= x.astype(np.uint64) << _SHIFT[c & 63]
-        return v, consistent
-
-
-class Echelon:
-    """Stacked systems, eliminated once for any number of later solves.
-
-    System i is rows ``starts[i] .. starts[i]+sizes[i]-1`` of the word
-    matrix it was made from. All systems go into one ``_Stack``, padded
-    with zero rows to the largest.
-    """
-
-    def __init__(self, rows: np.ndarray, sizes):
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        if self.sizes.sum() != len(rows):
-            raise ValueError("sizes must add up to the row count")
-        self.words = rows.shape[1]
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        height = int(self.sizes.max(initial=0))
-        h = np.zeros((self.words, height, len(self.sizes)), dtype=np.uint64)
-        for i, (start, size) in enumerate(zip(self.starts, self.sizes)):
-            h[:, :size, i] = rows[start:start + size].T
-        self._stack = _Stack(h)
-        self.prefix = self._stack.prefix
 
     def solve(self, rhs_bits: np.ndarray, use) -> tuple[np.ndarray, np.ndarray]:
         """Solve the first use[i] rows of every system i.
@@ -181,12 +100,27 @@ class Echelon:
         """
         rhs_bits = np.asarray(rhs_bits, dtype=np.uint8)
         use = np.asarray(use, dtype=np.int64)
-        if len(rhs_bits) != self.sizes.sum():
+        if len(rhs_bits) != len(self._local):
             raise ValueError("rhs length must equal row count")
-        rhs = np.zeros((self._stack.rows, len(self.sizes)), dtype=np.uint8)
-        for i, (start, size) in enumerate(zip(self.starts, self.sizes)):
-            rhs[:size, i] = rhs_bits[start:start + size]
-        return self._stack.solve(rhs, use)
+        count = len(self.sizes)
+        systems = np.arange(count)
+        rhs = np.zeros((self.height, count), dtype=np.uint8)
+        rhs[self._local, self._system] = rhs_bits
+        carried = np.zeros((self.steps, count), dtype=np.uint8)
+        for t in range(self.steps):
+            top, rows = self.top[t], self.pivot_row[t]
+            carried[t] = rhs[rows, systems] & (rows >= 0)
+            rhs[top:] ^= np.unpackbits(self.adds[t, top:], axis=1,
+                                       count=count) & carried[t]
+        inside = np.arange(self.height)[:, None] < use
+        consistent = ~(rhs.astype(bool) & inside).any(axis=0)
+        v = np.zeros((count, self.words), dtype=np.uint64)
+        for t in reversed(range(self.steps)):
+            c, rows = self.col[t], self.pivot_row[t]
+            parity = np.bitwise_count(self.pivot[t] & v).sum(axis=1) & 1
+            x = (carried[t] ^ parity) & (rows >= 0) & (rows < use)
+            v[:, c >> 6] |= x.astype(np.uint64) << _SHIFT[c & 63]
+        return v, consistent
 
 
 def max_independent_prefix_words(rows: np.ndarray, sizes) -> Echelon:
@@ -202,45 +136,3 @@ def solve_words(rows: np.ndarray, rhs_bits: np.ndarray) -> np.ndarray | None:
     """Solve over word-packed rows; returns packed solution words or None."""
     v, consistent = Echelon(rows, [len(rows)]).solve(rhs_bits, [len(rows)])
     return v[0] if consistent[0] else None
-
-
-def solve(rows: list[int], cols: int, rhs: int) -> int | None:
-    """Solve M v = rhs over GF(2), or None if inconsistent.
-
-    Pivots go to the lowest-index nonzero column first; free variables
-    are set to 0, so the result is deterministic.
-    """
-    if rhs < 0 or rhs >> len(rows):
-        raise ValueError("rhs has more bits than rows")
-    for row in rows:
-        if row >> cols:
-            raise ValueError("row has more bits than cols")
-    rhs_bits = np.array([(rhs >> i) & 1 for i in range(len(rows))],
-                        dtype=np.uint8)
-    v = solve_words(rows_to_words(rows, cols), rhs_bits)
-    return None if v is None else words_to_int(v)
-
-
-def rank(rows: list[int]) -> int:
-    basis: list[int] = []
-    for row in rows:
-        row = _reduce(row, basis)
-        if row:
-            basis.append(row)
-    return len(basis)
-
-
-def _reduce(row: int, basis: list[int]) -> int:
-    for b in basis:
-        low = b & -b
-        if row & low:
-            row ^= b
-    return row
-
-
-def max_independent_prefix(rows: list[int], cols: int | None = None) -> int:
-    """Largest p such that rows[0:p] are linearly independent."""
-    if cols is None:
-        cols = max((r.bit_length() for r in rows), default=1)
-    words = rows_to_words(rows, max(1, cols))
-    return int(Echelon(words, [len(rows)]).prefix[0])

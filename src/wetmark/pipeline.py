@@ -103,8 +103,8 @@ def _area_inputs(img: BinaryImage, key: StegoKey, p: EmbedPlan):
 def embed(img: BinaryImage, key: StegoKey,
           message: np.ndarray) -> tuple[BinaryImage, EmbedReport]:
     """Embed ``message`` (uint8 bit array) and return (stego, report)."""
+    message = wpc.message_bits(message)
     p = plan(img, key)
-    message = np.asarray(message, dtype=np.uint8)
     idx, *inputs = _area_inputs(img, key, p)
     plans = wpc.plan_message(*inputs, len(message))
     embedded = sum(int(q_p.sum()) for _, q_p in plans)

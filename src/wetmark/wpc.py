@@ -63,6 +63,14 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
 
 
+def message_bits(message) -> np.ndarray:
+    """``message`` as uint8 bits; anything but a 1-D array of 0/1 raises."""
+    bits = np.asarray(message)
+    if bits.ndim != 1 or not ((bits == 0) | (bits == 1)).all():
+        raise ValueError("message must be a 1-D array of 0/1 bits")
+    return bits.astype(np.uint8, copy=False)
+
+
 def restrict_columns(rows_words: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Rows of D restricted to the given columns, re-packed as words."""
     nrows = len(rows_words)
@@ -180,7 +188,7 @@ def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
     holds within-area positions (sorted); ``message`` is the remaining
     bit sequence.
     """
-    message = np.asarray(message, dtype=np.uint8)
+    message = message_bits(message)
     [(area, q_p)] = plan_message([codec], [cover_words], [flippable],
                                  len(message))
     flip_at = area.embed(message, q_p)[0]

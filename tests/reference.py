@@ -1,13 +1,17 @@
 """Reference implementations that only the tests use.
 
 They are the plain loops the library replaced with whole-array code, kept
-as oracles: the tests require the library to agree with them.
+as oracles: the tests require the library to agree with them. The GF(2)
+helpers at the end hold rows as Python ints (bit j of a row int = column
+j); ``solve`` and ``max_independent_prefix`` among them are not oracles
+but thin adapters that run the library's word engine on such rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from wetmark import gf2
 from wetmark.bitmap import MAX_SIDE, BinaryImage, PbmError
 from wetmark.prng import GAMMA, MASK64, StegoKey, matrix_words, mix64
 
@@ -126,3 +130,91 @@ def oracle_serialize_p1(img: BinaryImage) -> bytes:
         row = img.grid()[y]
         lines.append(" ".join(str(int(b)) for b in row).encode())
     return b"\n".join(lines) + b"\n"
+
+
+# --- GF(2) rows as Python ints ----------------------------------------------
+
+def words_to_int(words: np.ndarray) -> int:
+    return int.from_bytes(np.ascontiguousarray(words, dtype=np.uint64).tobytes(),
+                          "little")
+
+
+def int_to_words(value: int, nbits: int) -> np.ndarray:
+    nwords = max(1, (nbits + 63) // 64)
+    return np.frombuffer(value.to_bytes(nwords * 8, "little"),
+                         dtype=np.uint64).copy()
+
+
+def rows_to_words(rows: list[int], cols: int) -> np.ndarray:
+    nwords = max(1, (cols + 63) // 64)
+    out = np.empty((len(rows), nwords), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        out[i] = np.frombuffer(row.to_bytes(nwords * 8, "little"),
+                               dtype=np.uint64)
+    return out
+
+
+def bits_to_int(bits) -> int:
+    """LSB-first: bits[j] becomes bit j."""
+    out = 0
+    for j, b in enumerate(bits):
+        if b:
+            out |= 1 << j
+    return out
+
+
+def int_to_bits(value: int, n: int) -> np.ndarray:
+    return np.array([(value >> j) & 1 for j in range(n)], dtype=np.uint8)
+
+
+def mat_vec(rows: list[int], x: int) -> int:
+    """M @ x over GF(2); output bit i = parity of row i AND x."""
+    out = 0
+    for i, row in enumerate(rows):
+        if (row & x).bit_count() & 1:
+            out |= 1 << i
+    return out
+
+
+def rank(rows: list[int]) -> int:
+    basis: list[int] = []
+    for row in rows:
+        row = _reduce(row, basis)
+        if row:
+            basis.append(row)
+    return len(basis)
+
+
+def _reduce(row: int, basis: list[int]) -> int:
+    for b in basis:
+        low = b & -b
+        if row & low:
+            row ^= b
+    return row
+
+
+def solve(rows: list[int], cols: int, rhs: int) -> int | None:
+    """Solve M v = rhs over GF(2) with ``gf2.solve_words``, or None if
+    inconsistent.
+
+    Pivots go to the lowest-index nonzero column first; free variables
+    are set to 0, so the result is deterministic.
+    """
+    if rhs < 0 or rhs >> len(rows):
+        raise ValueError("rhs has more bits than rows")
+    for row in rows:
+        if row >> cols:
+            raise ValueError("row has more bits than cols")
+    rhs_bits = np.array([(rhs >> i) & 1 for i in range(len(rows))],
+                        dtype=np.uint8)
+    v = gf2.solve_words(rows_to_words(rows, cols), rhs_bits)
+    return None if v is None else words_to_int(v)
+
+
+def max_independent_prefix(rows: list[int], cols: int | None = None) -> int:
+    """Largest p such that rows[0:p] are linearly independent, from
+    ``gf2.max_independent_prefix_words``."""
+    if cols is None:
+        cols = max((r.bit_length() for r in rows), default=1)
+    words = rows_to_words(rows, max(1, cols))
+    return int(gf2.max_independent_prefix_words(words, [len(rows)]).prefix[0])

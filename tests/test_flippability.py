@@ -125,7 +125,9 @@ def test_mask_matches_per_pixel_oracle():
                 cells = g[y - 1:y + 2, x - 1:x + 2].reshape(-1).tolist()
                 if oracle_is_flippable(window_code(cells)):
                     expected.append(y * w + x)
-        assert compute_mask(img).indices.tolist() == expected
+        indices = compute_mask(img).indices
+        assert indices.tolist() == expected
+        assert (np.diff(indices) > 0).all()  # strictly increasing
 
 
 def test_mask_5x5_segment_case():

@@ -6,6 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from wetmark import gf2
 
+from reference import (
+    bits_to_int,
+    int_to_bits,
+    int_to_words,
+    mat_vec,
+    max_independent_prefix,
+    rank,
+    rows_to_words,
+    solve,
+    words_to_int,
+)
+
 
 # --- brute-force oracles --------------------------------------------------
 
@@ -13,7 +25,7 @@ def brute_solutions(rows, cols, rhs):
     """All assignments v with M v = rhs, by exhaustive search."""
     out = []
     for v in range(1 << cols):
-        if gf2.mat_vec(rows, v) == rhs:
+        if mat_vec(rows, v) == rhs:
             out.append(v)
     return out
 
@@ -49,18 +61,18 @@ def oracle_prefix(rows, cols):
 
 def test_mat_vec_identity():
     identity = [0b001, 0b010, 0b100]
-    assert gf2.mat_vec(identity, 0b101) == 0b101
+    assert mat_vec(identity, 0b101) == 0b101
 
 
 def test_mat_vec_zero():
     rows = [0b110, 0b011, 0b101]
-    assert gf2.mat_vec(rows, 0) == 0
+    assert mat_vec(rows, 0) == 0
 
 
 def test_mat_vec_example():
     # rows (1,1,0) and (0,1,1) times x = (1,1,1): both parities are 0
     rows = [0b011, 0b110]
-    assert gf2.mat_vec(rows, 0b111) == 0b00
+    assert mat_vec(rows, 0b111) == 0b00
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -70,34 +82,40 @@ def test_mat_vec_linearity(rows_n, cols, seed):
     rows = [int(r.integers(0, 1 << cols)) for _ in range(rows_n)]
     x = int(r.integers(0, 1 << cols))
     y = int(r.integers(0, 1 << cols))
-    assert gf2.mat_vec(rows, x ^ y) == gf2.mat_vec(rows, x) ^ gf2.mat_vec(rows, y)
+    assert mat_vec(rows, x ^ y) == mat_vec(rows, x) ^ mat_vec(rows, y)
 
 
 def test_solve_identity():
-    assert gf2.solve([0b001, 0b010, 0b100], 3, 0b101) == 0b101
+    assert solve([0b001, 0b010, 0b100], 3, 0b101) == 0b101
 
 
 def test_solve_triangular_example():
     # rows (1,1) and (0,1), rhs (0,1) -> v = (1,1); bit 0 = first column
-    v = gf2.solve([0b11, 0b10], 2, 0b10)
+    v = solve([0b11, 0b10], 2, 0b10)
     assert v == 0b11
     assert v in brute_solutions([0b11, 0b10], 2, 0b10)
 
 
 def test_solve_inconsistent():
-    assert gf2.solve([0b11, 0b11], 2, 0b01) is None
+    assert solve([0b11, 0b11], 2, 0b01) is None
 
 
 def test_solve_dimension_checks():
-    with pytest.raises(ValueError):
-        gf2.solve([0b1], 1, 0b11)   # rhs longer than rows
-    with pytest.raises(ValueError):
-        gf2.solve([0b111], 2, 0b1)  # row wider than cols
+    words = rows_to_words([0b01, 0b10, 0b11], 2)
+    with pytest.raises(ValueError, match="sizes"):
+        gf2.Echelon(words, [1, 1])  # sizes short of the row count
+    with pytest.raises(ValueError, match="sizes"):
+        gf2.max_independent_prefix_words(words, [2, 2])
+    echelon = gf2.Echelon(words, [2, 1])
+    with pytest.raises(ValueError, match="rhs"):
+        echelon.solve(np.zeros(2, dtype=np.uint8), [2, 1])  # rhs too short
+    with pytest.raises(ValueError, match="rhs"):
+        gf2.solve_words(words, np.zeros(4, dtype=np.uint8))  # rhs too long
 
 
 def test_solve_underdetermined_free_vars_zero():
     # single equation x0 + x2 = 1 over 3 unknowns; pivot on column 0
-    assert gf2.solve([0b101], 3, 0b1) == 0b001
+    assert solve([0b101], 3, 0b1) == 0b001
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -107,7 +125,7 @@ def test_solve_matches_brute_force(n_rows, cols, seed):
     rows = [int(r.integers(0, 1 << cols)) for _ in range(n_rows)]
     rhs = int(r.integers(0, 1 << n_rows))
     sols = brute_solutions(rows, cols, rhs)
-    v = gf2.solve(rows, cols, rhs)
+    v = solve(rows, cols, rhs)
     if not sols:
         assert v is None
     else:
@@ -126,14 +144,14 @@ def test_solve_unique_square_full_rank():
         rhs = int(r.integers(0, 1 << n))
         sols = brute_solutions(rows, n, rhs)
         assert len(sols) == 1
-        assert gf2.solve(rows, n, rhs) == sols[0]
+        assert solve(rows, n, rhs) == sols[0]
 
 
 def test_prefix_examples():
-    assert gf2.max_independent_prefix([0b01, 0b10, 0b11], 2) == 2
-    assert gf2.max_independent_prefix([], 4) == 0
-    assert gf2.max_independent_prefix([0], 4) == 0
-    assert gf2.max_independent_prefix([0b1], 1) == 1
+    assert max_independent_prefix([0b01, 0b10, 0b11], 2) == 2
+    assert max_independent_prefix([], 4) == 0
+    assert max_independent_prefix([0], 4) == 0
+    assert max_independent_prefix([0b1], 1) == 1
 
 
 @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 2**32 - 1))
@@ -141,13 +159,13 @@ def test_prefix_examples():
 def test_prefix_matches_oracle(n_rows, cols, seed):
     r = np.random.default_rng(seed)
     rows = [int(r.integers(0, 1 << cols)) for _ in range(n_rows)]
-    assert gf2.max_independent_prefix(rows, cols) == oracle_prefix(rows, cols)
+    assert max_independent_prefix(rows, cols) == oracle_prefix(rows, cols)
 
 
 def test_prefix_random_64_columns():
     r = np.random.default_rng(7)
     rows = [int(r.integers(0, 1 << 63)) for _ in range(50)]
-    assert gf2.max_independent_prefix(rows, 64) == oracle_prefix(rows, 64)
+    assert max_independent_prefix(rows, 64) == oracle_prefix(rows, 64)
 
 
 def test_prefix_rank_semantics():
@@ -155,20 +173,20 @@ def test_prefix_rank_semantics():
         r = np.random.default_rng(seed)
         cols = int(r.integers(1, 7))
         rows = [int(r.integers(0, 1 << cols)) for _ in range(int(r.integers(1, 8)))]
-        p = gf2.max_independent_prefix(rows, cols)
-        assert gf2.rank(rows[:p]) == p
+        p = max_independent_prefix(rows, cols)
+        assert rank(rows[:p]) == p
         if p < len(rows):
-            assert gf2.rank(rows[:p + 1]) == p
+            assert rank(rows[:p + 1]) == p
 
 
 def test_words_int_roundtrip():
     for value, nbits in [(0, 1), (1, 1), (0b1011, 4), (1 << 100, 101)]:
-        assert gf2.words_to_int(gf2.int_to_words(value, nbits)) == value
+        assert words_to_int(int_to_words(value, nbits)) == value
 
 
 def test_bits_int_roundtrip():
     bits = [1, 0, 1, 1, 0]
-    assert gf2.int_to_bits(gf2.bits_to_int(bits), 5).tolist() == bits
+    assert int_to_bits(bits_to_int(bits), 5).tolist() == bits
 
 
 def test_mat_vec_words_agrees_with_ints():
@@ -177,10 +195,10 @@ def test_mat_vec_words_agrees_with_ints():
     rows = [int(r.integers(0, 1 << 63)) << int(r.integers(0, 60)) for _ in range(9)]
     rows = [row & ((1 << cols) - 1) for row in rows]
     x = int(r.integers(0, 1 << 63)) | (int(r.integers(0, 1 << 63)) << 64)
-    words = gf2.rows_to_words(rows, cols)
-    xw = gf2.int_to_words(x, cols)
-    expected = gf2.mat_vec(rows, x)
-    got = gf2.bits_to_int(gf2.mat_vec_words(words, xw))
+    words = rows_to_words(rows, cols)
+    xw = int_to_words(x, cols)
+    expected = mat_vec(rows, x)
+    got = bits_to_int(gf2.mat_vec_words(words, xw))
     assert got == expected
 
 
@@ -201,29 +219,33 @@ def test_stacked_systems_match_single_ones(cols, shapes):
 
     def row(start, width):
         bits = r.integers(0, 2, width).tolist()
-        return gf2.bits_to_int(bits) << start
+        return bits_to_int(bits) << start
 
     systems = [[row(start, width) for _ in range(n)]
                for n, start, width in shapes]
     systems[0][3] = systems[0][1] ^ systems[0][2]
-    words = np.concatenate([gf2.rows_to_words(rows, cols) for rows in systems])
+    words = np.concatenate([rows_to_words(rows, cols) for rows in systems])
     echelon = gf2.max_independent_prefix_words(words, [len(s) for s in systems])
     assert echelon.prefix[0] <= 3
     for rows, p in zip(systems, echelon.prefix.tolist()):
-        assert gf2.rank(rows[:p]) == p
-        assert p == len(rows) or gf2.rank(rows[:p + 1]) == p
+        assert rank(rows[:p]) == p
+        assert p == len(rows) or rank(rows[:p + 1]) == p
     for _ in range(20):
         use = [int(r.integers(0, len(s) + 1)) for s in systems]
-        rhs = [gf2.bits_to_int(r.integers(0, 2, u).tolist()) for u in use]
+        rhs = [bits_to_int(r.integers(0, 2, u).tolist()) for u in use]
         rhs_bits = np.concatenate(
-            [gf2.int_to_bits(b, len(s)) for b, s in zip(rhs, systems)])
+            [int_to_bits(b, len(s)) for b, s in zip(rhs, systems)])
         v, consistent = echelon.solve(rhs_bits, use)
         for i, rows in enumerate(systems):
-            alone = gf2.solve(rows[:use[i]], cols, rhs[i])
+            alone = solve(rows[:use[i]], cols, rhs[i])
             assert consistent[i] == (alone is not None)
+            # consistent exactly when the rhs column adds no rank
+            augmented = [row | ((rhs[i] >> j) & 1) << cols
+                         for j, row in enumerate(rows[:use[i]])]
+            assert consistent[i] == (rank(augmented) == rank(rows[:use[i]]))
             if cols <= 8:
                 assert consistent[i] == bool(
                     brute_solutions(rows[:use[i]], cols, rhs[i]))
             if alone is not None:
-                assert gf2.words_to_int(v[i]) == alone
-                assert gf2.mat_vec(rows[:use[i]], alone) == rhs[i]
+                assert words_to_int(v[i]) == alone
+                assert mat_vec(rows[:use[i]], alone) == rhs[i]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wetmark as wm
+from wetmark import pipeline
 from wetmark.bitmap import BinaryImage
 from wetmark.pipeline import ImageTooSmallError, MessageTooLongError, plan
 from wetmark.prng import StegoKey
@@ -37,6 +38,19 @@ def test_empty_message_roundtrip():
     assert report.n_embedded == 0
     assert all(rec.q_p == 0 for rec in report.per_area)
     assert wm.extract(stego, KEY).size == 0
+
+
+@pytest.mark.parametrize("message", [
+    np.frombuffer(b"hi", np.uint8), [1, 255, 3], [-1], [0.5], [[0, 1]]])
+def test_embed_rejects_non_bit_messages(monkeypatch, message):
+    """The message is checked on entry, before the image is planned."""
+    def unreachable(*args):
+        raise AssertionError("planned an image for a message that is not bits")
+
+    monkeypatch.setattr(pipeline, "plan", unreachable)
+    with pytest.raises(ValueError,
+                       match="^message must be a 1-D array of 0/1 bits$"):
+        wm.embed(synth_image(64, 64, 4), KEY, message)
 
 
 def test_roundtrip_random_messages(rng):

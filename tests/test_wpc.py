@@ -14,7 +14,7 @@ from wetmark.wpc import (
     unpack_bits,
 )
 
-from reference import matrix_rows
+from reference import bits_to_int, mat_vec, matrix_rows
 
 
 def toy_codec(key=b"toy", area=0, n=16):
@@ -84,18 +84,18 @@ def test_roundtrip_and_brute_force_validity():
         hb = codec.header_bits
         q = hb + used
         d = matrix_rows(codec.key, codec.area_index, q, codec.n)
-        cover_int = gf2.bits_to_int(cover)
+        cover_int = bits_to_int(cover)
         header = [(used >> (hb - 1 - i)) & 1 for i in range(hb)]
-        m_int = gf2.bits_to_int(header + msg[:used].tolist())
+        m_int = bits_to_int(header + msg[:used].tolist())
         valid = set()
         for pattern in range(1 << k):
             b2 = cover_int
             for j in range(k):
                 if (pattern >> j) & 1:
                     b2 ^= 1 << int(mask[j])
-            if gf2.mat_vec(d, b2) == m_int:
+            if mat_vec(d, b2) == m_int:
                 valid.add(b2)
-        got = gf2.bits_to_int(unpack_bits(result.modified_words, codec.n))
+        got = bits_to_int(unpack_bits(result.modified_words, codec.n))
         assert got in valid
         checked += 1
     assert checked >= 80
@@ -138,8 +138,8 @@ def test_header_self_consistent():
     result, used = embed_area(pack_bits(cover), mask, codec, msg)
     hb = codec.header_bits
     d = matrix_rows(codec.key, codec.area_index, hb, codec.n)
-    header = gf2.mat_vec(
-        d, gf2.bits_to_int(unpack_bits(result.modified_words, codec.n)))
+    header = mat_vec(
+        d, bits_to_int(unpack_bits(result.modified_words, codec.n)))
     value = 0
     for i in range(hb):
         value = (value << 1) | ((header >> i) & 1)
@@ -251,3 +251,17 @@ def test_inconsistent_area_system_raises(monkeypatch):
     cover, mask = rand_area(rng, toy_codec(), 10)
     with pytest.raises(RuntimeError, match="inconsistent"):
         embed_area(pack_bits(cover), mask, toy_codec(), np.ones(3, np.uint8))
+
+
+@pytest.mark.parametrize("message", [
+    np.frombuffer(b"hi", np.uint8), [1, 255, 3], [-1], [0.5], [[0, 1]]])
+def test_embed_area_rejects_non_bit_messages(monkeypatch, message):
+    """The message is checked on entry, before any elimination."""
+    def unreachable(*args):
+        raise AssertionError("eliminated for a message that is not bits")
+
+    monkeypatch.setattr(gf2, "max_independent_prefix_words", unreachable)
+    cover, mask = rand_area(np.random.default_rng(24), toy_codec(), 10)
+    with pytest.raises(ValueError,
+                       match="^message must be a 1-D array of 0/1 bits$"):
+        embed_area(pack_bits(cover), mask, toy_codec(), message)
