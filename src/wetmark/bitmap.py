@@ -72,7 +72,7 @@ def _skip(data: bytes, pos: int) -> int:
     """Offset of the first byte at or after ``pos`` that is neither
     whitespace nor inside a ``#`` comment."""
     pos = _SPACE.match(data, pos).end()
-    while data.startswith(b"#", pos):
+    while data[pos:pos + 1] == b"#":
         pos = _SPACE.match(data, _COMMENT.match(data, pos).end()).end()
     return pos
 
@@ -81,14 +81,16 @@ def _parse_p1(data: bytes, pos: int, width: int, height: int) -> BinaryImage:
     """The P1 body from ``pos``: comments only before the first sample.
 
     Classified a chunk at a time, so temporaries stay small beside the
-    image and chunks after the last needed sample are never read.
+    image and chunks after the last needed sample are never read. Each
+    chunk is a copy: no array keeps a view of ``data``, which a mapped
+    file needs in order to close.
     """
     need = width * height
     bits = np.empty(need, dtype=np.uint8)
     count = 0
-    body = np.frombuffer(data, dtype=np.uint8, offset=_skip(data, pos))
-    for start in range(0, body.size, _P1_CHUNK):
-        kind = _P1_KIND[body[start:start + _P1_CHUNK]]
+    for start in range(_skip(data, pos), len(data), _P1_CHUNK):
+        body = np.frombuffer(data[start:start + _P1_CHUNK], dtype=np.uint8)
+        kind = _P1_KIND[body]
         invalid = kind == _P1_INVALID
         bad = int(invalid.argmax()) if invalid.any() else kind.size
         head = kind[:bad]
@@ -98,12 +100,16 @@ def _parse_p1(data: bytes, pos: int, width: int, height: int) -> BinaryImage:
         if count == need:
             return BinaryImage(width, height, bits)
         if bad < kind.size:
-            raise PbmError(f"invalid P1 sample byte {body[start + bad]:#x}")
+            raise PbmError(f"invalid P1 sample byte {body[bad]:#x}")
     raise PbmError("truncated P1 payload")
 
 
-def parse_pbm(data: bytes) -> BinaryImage:
-    """Parse a P1 (ASCII) or P4 (binary) PBM byte stream."""
+def parse_pbm(data) -> BinaryImage:
+    """Parse a P1 (ASCII) or P4 (binary) PBM from bytes or an mmap.
+
+    Bytes after the last sample the image needs are never read, so a
+    memory-mapped file costs only the pages the parser touches.
+    """
     if len(data) < 2:
         raise PbmError("truncated header")
     magic = data[:2]
@@ -134,7 +140,7 @@ def parse_pbm(data: bytes) -> BinaryImage:
     # P4: one delimiter byte after the height token, then packed rows. The
     # height token ends at whitespace, at a comment or at the end of the
     # data; a comment's terminating CR/LF is the delimiter.
-    if data.startswith(b"#", body_off):
+    if data[body_off:body_off + 1] == b"#":
         body_off = _COMMENT.match(data, body_off).end()
         if body_off == len(data):
             raise PbmError("unterminated comment after P4 dimensions")

@@ -7,6 +7,9 @@ cannot hold a header), 3 parse/IO error, 4 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import mmap
+import os
 import sys
 
 import numpy as np
@@ -69,10 +72,15 @@ def _build_parser() -> _Parser:
 
 
 def _read_image(path: str) -> tuple[BinaryImage, str]:
+    """Parse a PBM file, mapped so that trailing bytes are never read."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    img = parse_pbm(data)
-    return img, data[:2].decode("ascii")
+        # An empty file cannot be mapped, and a pipe has no size: read them.
+        if os.fstat(fh.fileno()).st_size:
+            source = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        else:
+            source = contextlib.nullcontext(fh.read())
+        with source as data:
+            return parse_pbm(data), data[:2].decode("ascii")
 
 
 def _bits_from_bytes(data: bytes) -> np.ndarray:

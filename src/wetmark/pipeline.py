@@ -47,7 +47,7 @@ class EmbedReport:
     """Per-area and total accounting of an embed or capacity run."""
 
     n_areas: int               # N_A
-    n_flippable: int           # N_FP over used areas
+    n_flippable: int           # N_FP, summed over every area
     n_embedded: int            # N_E, total payload bits
     leftover_pixels: int
     per_area: tuple[AreaRecord, ...]
@@ -74,74 +74,70 @@ class EmbedPlan:
     mask: FlippabilityMask
 
 
-def _check_geometry(img: BinaryImage) -> int:
+def _shuffle(img: BinaryImage, key: StegoKey) -> tuple[np.ndarray, np.ndarray]:
+    """The keyed permutation of the pixels, and its full areas one per row."""
     n_pixels = img.width * img.height
     if n_pixels < AREA_SIZE or img.width < 3 or img.height < 3:
         raise ImageTooSmallError(
             f"{img.width}x{img.height}: need at least {AREA_SIZE} pixels "
             "and 3x3 geometry")
-    return n_pixels
+    perm = prng.permutation(key, n_pixels)
+    n_areas = n_pixels // AREA_SIZE
+    return perm, perm[:n_areas * AREA_SIZE].reshape(n_areas, AREA_SIZE)
 
 
 def plan(img: BinaryImage, key: StegoKey) -> EmbedPlan:
-    n_pixels = _check_geometry(img)
-    perm = prng.permutation(key, n_pixels)
-    n_areas = n_pixels // AREA_SIZE
-    mask = flippability.compute_mask(img)
-    return EmbedPlan(perm, n_areas, n_pixels - n_areas * AREA_SIZE, mask)
+    perm, areas = _shuffle(img, key)
+    return EmbedPlan(perm, len(areas), perm.size - areas.size,
+                     flippability.compute_mask(img))
 
 
-def _area_inputs(img: BinaryImage, key: StegoKey, p: EmbedPlan):
-    """Pixel indices of every area (one row each), codecs, covers, masks."""
-    idx = p.permutation[:p.n_areas * AREA_SIZE].reshape(p.n_areas, AREA_SIZE)
-    flippable = p.mask.as_bool()[idx]
-    codecs = [AreaCodec(key, a) for a in range(p.n_areas)]
-    return (idx, codecs, wpc.pack_bits(img.bits[idx]),
-            [np.flatnonzero(row) for row in flippable])
+def _plan_areas(img: BinaryImage, key: StegoKey, n_bits: int):
+    """Each area's pixel indices (one row each), the leftover pixel count
+    and the ``wpc.AreaPlan`` of ``n_bits`` over the areas."""
+    perm, idx = _shuffle(img, key)
+    flippable = flippability.compute_mask(img).as_bool()[idx]
+    areas = wpc.AreaPlan([AreaCodec(key, a) for a in range(len(idx))],
+                         wpc.pack_bits(img.bits[idx]),
+                         [np.flatnonzero(row) for row in flippable], n_bits)
+    return idx, perm.size - idx.size, areas
+
+
+def _report(areas: wpc.AreaPlan, leftover: int, flips) -> EmbedReport:
+    records = tuple(AreaRecord(c.area_index, int(k), int(q), f) for c, k, q, f
+                    in zip(areas.codecs, areas.k, areas.q_p, flips))
+    return EmbedReport(len(records), int(areas.k.sum()),
+                       int(areas.q_p.sum()), leftover, records)
 
 
 def embed(img: BinaryImage, key: StegoKey,
           message: np.ndarray) -> tuple[BinaryImage, EmbedReport]:
     """Embed ``message`` (uint8 bit array) and return (stego, report)."""
     message = wpc.message_bits(message)
-    p = plan(img, key)
-    idx, *inputs = _area_inputs(img, key, p)
-    plans = wpc.plan_message(*inputs, len(message))
-    embedded = sum(int(q_p.sum()) for _, q_p in plans)
+    idx, leftover, areas = _plan_areas(img, key, len(message))
+    embedded = int(areas.q_p.sum())
     if embedded < len(message):
         raise MessageTooLongError(
             f"capacity exhausted after {embedded} of {len(message)} bits")
+    flips = areas.embed(message)
     out_bits = img.bits.copy()
-    records = []
-    pos = 0
-    for areas, q_p in plans:
-        flips = areas.embed(message[pos:], q_p)
-        pos += int(q_p.sum())
-        for codec, k, q, at in zip(areas.codecs, areas.k, q_p, flips):
-            out_bits[idx[codec.area_index, at]] ^= 1
-            records.append(AreaRecord(codec.area_index, int(k), int(q), len(at)))
-    report = EmbedReport(p.n_areas, sum(r.k for r in records), embedded,
-                         p.leftover_pixels, tuple(records))
-    return BinaryImage(img.width, img.height, out_bits), report
+    for pixels, at in zip(idx, flips):
+        out_bits[pixels[at]] ^= 1
+    return (BinaryImage(img.width, img.height, out_bits),
+            _report(areas, leftover, [len(at) for at in flips]))
 
 
 def extract(img: BinaryImage, key: StegoKey) -> np.ndarray:
     """Blindly extract the embedded bit sequence using only the key."""
-    n_pixels = _check_geometry(img)
-    perm = prng.permutation(key, n_pixels)
-    n_areas = n_pixels // AREA_SIZE
-    words = wpc.pack_bits(img.bits[perm[:n_areas * AREA_SIZE]]
-                          .reshape(n_areas, AREA_SIZE))
+    _, idx = _shuffle(img, key)
+    words = wpc.pack_bits(img.bits[idx])
     chunks = [wpc.extract_area(words[a], AreaCodec(key, a))
-              for a in range(n_areas)]
+              for a in range(len(idx))]
     return np.concatenate(chunks)
 
 
 def capacity(img: BinaryImage, key: StegoKey) -> EmbedReport:
     """Capacity accounting without modifying any pixel."""
-    p = plan(img, key)
-    areas = wpc.AreaBatch(*_area_inputs(img, key, p)[1:])
-    records = tuple(AreaRecord(a, int(areas.k[a]), int(areas.room[a]), 0)
-                    for a in range(p.n_areas))
-    return EmbedReport(p.n_areas, int(areas.k.sum()), int(areas.room.sum()),
-                       p.leftover_pixels, records)
+    # more bits than any image holds: every area is planned on all its rows
+    _, leftover, areas = _plan_areas(img, key, img.width * img.height)
+    return _report(areas, leftover, [0] * len(areas.codecs))

@@ -81,102 +81,94 @@ def restrict_columns(rows_words: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return pack_bits(bits)
 
 
-class AreaBatch:
-    """Areas planned together, with one elimination for all of them.
+class AreaPlan:
+    """``n_bits`` of message spread greedily over the areas, in order.
 
-    Area i is planned on the first rows[i] rows of its keyed matrix,
-    restricted to its flippable columns, and all areas are eliminated in
-    one go. Rows 0..hb+q_p-1 of an area are independent exactly when
-    hb+q_p <= the prefix found here, so the area carries up to
-    ``room[i]`` = prefix - hb payload bits; any message up to that is then
-    embedded by solving a leading block of the same eliminated rows. By
-    default an area is planned on all the rows it could ever use.
+    Area i can carry up to ``prefix - hb`` payload bits, where prefix is
+    the longest run of independent leading rows of its keyed matrix
+    restricted to its flippable columns, and it carries ``q_p[i]`` of
+    them. Rows 0..hb+q-1 are independent exactly when hb+q <= prefix, so
+    ``embed`` solves a leading block of the rows eliminated here.
+
+    The areas are eliminated in ``batches`` of consecutive areas, each as
+    one stack. A batch takes as many areas as would hold the bits still
+    to place if none of their rows were dependent, plus one, and plans
+    each on no more rows than its header and those bits need. Once all
+    bits are placed, a last batch plans the remaining areas for their
+    zero-length headers alone. With more bits than the areas hold, one
+    batch plans every area on all the rows it could ever use, which is
+    its capacity. Every area is eliminated exactly once.
     """
 
-    def __init__(self, codecs: list[AreaCodec], covers, flippables, rows=None):
+    def __init__(self, codecs: list[AreaCodec], covers, flippables,
+                 n_bits: int):
         self.codecs = codecs
         self.flippables = [np.asarray(f, dtype=np.int64) for f in flippables]
         self.k = np.array([len(f) for f in self.flippables], dtype=np.int64)
         self.header_bits = np.array([c.header_bits for c in codecs],
                                     dtype=np.int64)
-        if rows is None:
-            rows = np.maximum(self.k, self.header_bits)
-        rows = np.asarray(rows, dtype=np.int64)
-        self.starts = np.cumsum(rows) - rows
-        words = max(1, (int(self.k.max(initial=0)) + 63) // 64)
+        self.q_p = np.zeros(len(codecs), dtype=np.int64)
+        self.batches = []  # (areas slice, row starts, syndrome, Echelon)
+        most = np.maximum(0, self.k - self.header_bits)
+        start, left = 0, n_bits
+        while start < len(codecs):
+            end = len(codecs)
+            if left:
+                need = np.searchsorted(np.cumsum(most[start:]), left)
+                end = min(end, start + int(need) + 2)
+            part = slice(start, end)
+            rows = self.header_bits[part] + np.minimum(most[part], left)
+            room = self._eliminate(part, covers[part], rows)
+            before = np.cumsum(room) - room
+            self.q_p[part] = np.clip(left - before, 0, room)
+            left -= int(self.q_p[part].sum())
+            start = end
+
+    def _eliminate(self, part: slice, covers, rows: np.ndarray) -> np.ndarray:
+        """Eliminate the first rows[i] rows of each area in ``part`` as one
+        stack; returns the payload bits each area has room for."""
+        starts = np.cumsum(rows) - rows
+        words = max(1, (int(self.k[part].max(initial=0)) + 63) // 64)
         h_rows = np.zeros((int(rows.sum()), words), dtype=np.uint64)
-        self.syndrome = np.zeros(len(h_rows), dtype=np.uint8)
-        for codec, cover, cols, at, q in zip(codecs, covers, self.flippables,
-                                             self.starts, rows.tolist()):
+        syndrome = np.zeros(len(h_rows), dtype=np.uint8)
+        for codec, cover, cols, at, q in zip(self.codecs[part], covers,
+                                             self.flippables[part], starts,
+                                             rows.tolist()):
             d_words = prng.matrix_words(codec.key, codec.area_index, q, codec.n)
             restricted = restrict_columns(d_words, cols)
             h_rows[at:at + q, :restricted.shape[1]] = restricted
-            self.syndrome[at:at + q] = gf2.mat_vec_words(d_words, cover)
-        self.echelon = gf2.max_independent_prefix_words(h_rows, rows)
-        prefix = self.echelon.prefix
-        for i in np.flatnonzero(prefix < self.header_bits)[:1]:
+            syndrome[at:at + q] = gf2.mat_vec_words(d_words, cover)
+        echelon = gf2.max_independent_prefix_words(h_rows, rows)
+        prefix, hb = echelon.prefix, self.header_bits[part]
+        for i in np.flatnonzero(prefix < hb)[:1]:
             raise HeaderCapacityError(
-                f"area {codecs[i].area_index}: only {prefix[i]} independent "
-                f"rows over {self.k[i]} flippable pixels, need "
-                f"{self.header_bits[i]} for the header")
-        self.room = prefix - self.header_bits
+                f"area {self.codecs[part][i].area_index}: only {prefix[i]} "
+                f"independent rows over {self.k[part][i]} flippable pixels, "
+                f"need {hb[i]} for the header")
+        self.batches.append((part, starts, syndrome, echelon))
+        return prefix - hb
 
-    def allot(self, n_bits: int) -> np.ndarray:
-        """Payload bits per area when ``n_bits`` spill from area to area."""
-        before = np.cumsum(self.room) - self.room
-        return np.clip(n_bits - before, 0, self.room)
-
-    def embed(self, message: np.ndarray, q_p: np.ndarray) -> list[np.ndarray]:
-        """Flippable positions to flip so that area i carries q_p[i] bits.
-
-        The areas take consecutive slices of ``message``, each behind its
-        length header.
-        """
-        rhs = self.syndrome.copy()
-        pos = 0
-        for at, hb, q in zip(self.starts, self.header_bits, q_p.tolist()):
-            header = (q >> np.arange(hb - 1, -1, -1)) & 1  # big-endian
-            rhs[at:at + hb] ^= header.astype(np.uint8)
-            rhs[at + hb:at + hb + q] ^= message[pos:pos + q]
-            pos += q
-        v, consistent = self.echelon.solve(rhs, self.header_bits + q_p)
-        if not consistent.all():
-            raise RuntimeError(
-                f"area {self.codecs[np.argmin(consistent)].area_index}: "
-                "independent rows gave an inconsistent system")
-        v_bits = np.unpackbits(v.view(np.uint8), axis=1, bitorder="little")
-        return [cols[v_bits[i, :len(cols)] == 1]
-                for i, cols in enumerate(self.flippables)]
-
-
-def plan_message(codecs: list[AreaCodec], covers, flippables,
-                 n_bits: int) -> list[tuple[AreaBatch, np.ndarray]]:
-    """Plan ``n_bits`` that spill greedily over the areas, in order.
-
-    Returns batches in area order, each with the payload bits its areas
-    carry. A batch takes as many areas as would hold the bits still to
-    place if none of their rows were dependent, plus one, and plans each
-    on no more rows than its header and those bits need. Once all bits
-    are placed, a last batch plans the remaining areas for their
-    zero-length headers alone. Every area is eliminated exactly once.
-    """
-    header_bits = np.array([c.header_bits for c in codecs], dtype=np.int64)
-    most = np.maximum(0, np.array([len(f) for f in flippables]) - header_bits)
-    plans = []
-    start, left = 0, n_bits
-    while start < len(codecs):
-        end = len(codecs)
-        if left:
-            need = np.searchsorted(np.cumsum(most[start:]), left)
-            end = min(end, start + int(need) + 2)
-        part = slice(start, end)
-        batch = AreaBatch(codecs[part], covers[part], flippables[part],
-                          header_bits[part] + np.minimum(most[part], left))
-        q_p = batch.allot(left)
-        plans.append((batch, q_p))
-        left -= int(q_p.sum())
-        start = end
-    return plans
+    def embed(self, message: np.ndarray) -> list[np.ndarray]:
+        """Flippable positions to flip in every area, so that area i
+        carries the next q_p[i] bits of ``message`` behind its header."""
+        ends = np.cumsum(self.q_p)
+        flips = []
+        for part, starts, syndrome, echelon in self.batches:
+            rhs = syndrome.copy()
+            hb, q_p = self.header_bits[part], self.q_p[part]
+            for at, h, q, end in zip(starts, hb, q_p.tolist(), ends[part]):
+                header = (q >> np.arange(h - 1, -1, -1)) & 1  # big-endian
+                rhs[at:at + h] ^= header.astype(np.uint8)
+                rhs[at + h:at + h + q] ^= message[end - q:end]
+            v, consistent = echelon.solve(rhs, hb + q_p)
+            if not consistent.all():
+                bad = self.codecs[part][np.argmin(consistent)]
+                raise RuntimeError(f"area {bad.area_index}: independent rows "
+                                   "gave an inconsistent system")
+            v_bits = np.unpackbits(v.view(np.uint8), axis=1, bitorder="little")
+            flips += [cols[v_bits[i, :len(cols)] == 1]
+                      for i, cols in enumerate(self.flippables[part])]
+        return flips
 
 
 def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
@@ -189,15 +181,12 @@ def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
     bit sequence.
     """
     message = message_bits(message)
-    [(area, q_p)] = plan_message([codec], [cover_words], [flippable],
-                                 len(message))
-    flip_at = area.embed(message, q_p)[0]
-    modified = cover_words.copy()
-    if len(flip_at):
-        delta = np.zeros(codec.n, dtype=np.uint8)
-        delta[flip_at] = 1
-        modified ^= pack_bits(delta)
-    q_p = int(q_p[0])
+    area = AreaPlan([codec], [cover_words], [flippable], len(message))
+    flip_at = area.embed(message)[0]
+    delta = np.zeros(codec.n, dtype=np.uint8)
+    delta[flip_at] = 1
+    modified = cover_words ^ pack_bits(delta)
+    q_p = int(area.q_p[0])
     return AreaEmbedResult(modified, q_p, codec.header_bits + q_p,
                            len(flip_at)), q_p
 

@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 from unittest import mock
 
@@ -89,6 +90,26 @@ def test_p4_comment_after_height_is_not_raster_data():
     # The comment's terminating CR or LF is the single delimiter byte.
     assert parse_pbm(b"P4\n8 1#c\n\xff").bits.tolist() == [1] * 8
     assert parse_pbm(b"P4\n8 1#c\r\x0f").bits.tolist() == [0] * 4 + [1] * 4
+
+
+@pytest.mark.parametrize("data", [
+    b"P1 # comment\n# another\n 2 # mid\n2\n1010",
+    b"P4\n8 1#c\r\x0f",
+    b"P1\n2 2\n1 0 1",
+    b"P4\n8 1#c",
+])
+def test_parse_mapped_file_as_bytes(tmp_path, data):
+    def outcome(buffer):
+        try:
+            return parse_pbm(buffer)
+        except PbmError as exc:
+            return str(exc)
+
+    path = tmp_path / "image.pbm"
+    path.write_bytes(data)
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0,
+                                           access=mmap.ACCESS_READ) as mapped:
+        assert outcome(mapped) == outcome(data)
 
 
 @pytest.mark.parametrize("magic", [b"P1", b"P4"])

@@ -1,10 +1,14 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wetmark import pipeline
 from wetmark.bitmap import parse_pbm, serialize_pbm
 from wetmark.cli import main
+from wetmark.prng import StegoKey
 
 from conftest import synth_image
 
@@ -121,6 +125,55 @@ def test_pixel_cap_io_error(tmp_path, magic):
     huge = tmp_path / "huge.pbm"
     huge.write_bytes(magic + b"\n65536 65536\n")
     assert run(["capacity", "--in", huge, "--key", "k"]) == 3
+
+
+@pytest.mark.parametrize("data, error", [
+    (b"", "truncated header"),
+    (b"P1\n64 64\n" + b"0 " * 4095, "truncated P1 payload"),
+    (b"P1\n256 256\n" + b"0 " * 40000 + b"2", "invalid P1 sample byte 0x32"),
+    (b"P4\n64 64\n" + bytes(511), "truncated P4 payload"),
+], ids=["empty", "short-p1", "bad-p1-sample", "short-p4"])
+def test_malformed_input_io_error(tmp_path, capsys, data, error):
+    bad = tmp_path / "bad.pbm"
+    bad.write_bytes(data)
+    assert run(["capacity", "--in", bad, "--key", "k"]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_input_from_a_pipe(capsys):
+    """A pipe cannot be mapped; it is read instead."""
+    img = synth_image(64, 64, 32)
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, serialize_pbm(img, "P4"))
+    os.close(write_fd)
+    try:
+        assert run(["capacity", "--in", f"/dev/fd/{read_fd}", "--key", "k"]) == 0
+    finally:
+        os.close(read_fd)
+    assert json.loads(capsys.readouterr().out)["N_A"] == 1
+
+
+@pytest.mark.parametrize("fmt", ["P1", "P4"])
+def test_trailing_bytes_are_not_read(tmp_path, capsys, fmt):
+    """Only the bytes the parser needs come into memory, whatever follows."""
+    img = synth_image(64, 64, 31)
+    padded = tmp_path / "padded.pbm"
+    with open(padded, "wb") as fh:
+        fh.write(serialize_pbm(img, fmt))
+        fh.write(b"\n" * (60 << 20))
+    tracemalloc.start()
+    try:
+        code = run(["capacity", "--in", padded, "--key", "k"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        padded.unlink()
+    assert code == 0
+    assert peak < 4 << 20  # reading the 60 MB of trailing bytes would show
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == json.loads(pipeline.capacity(img, StegoKey.from_text("k"))
+                             .to_json())
 
 
 def test_analyze(tmp_path, cover, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wetmark as wm
-from wetmark import pipeline
+from wetmark import flippability, prng
 from wetmark.bitmap import BinaryImage
 from wetmark.pipeline import ImageTooSmallError, MessageTooLongError, plan
 from wetmark.prng import StegoKey
@@ -43,11 +43,11 @@ def test_empty_message_roundtrip():
 @pytest.mark.parametrize("message", [
     np.frombuffer(b"hi", np.uint8), [1, 255, 3], [-1], [0.5], [[0, 1]]])
 def test_embed_rejects_non_bit_messages(monkeypatch, message):
-    """The message is checked on entry, before the image is planned."""
+    """The message is checked on entry, before the image is shuffled."""
     def unreachable(*args):
-        raise AssertionError("planned an image for a message that is not bits")
+        raise AssertionError("shuffled an image for a message that is not bits")
 
-    monkeypatch.setattr(pipeline, "plan", unreachable)
+    monkeypatch.setattr(prng, "permutation", unreachable)
     with pytest.raises(ValueError,
                        match="^message must be a 1-D array of 0/1 bits$"):
         wm.embed(synth_image(64, 64, 4), KEY, message)
@@ -108,6 +108,39 @@ def test_accounting_identities(rng):
     assert report.n_embedded <= report.n_flippable - hb * report.n_areas
     assert report.n_areas == (128 * 128) // AREA_SIZE
     assert report.n_flippable == cap_report.n_flippable
+
+
+@pytest.mark.parametrize("kind", ["text", "iid"])
+def test_capacity_is_embed_at_capacity_area_by_area(rng, kind):
+    """Capacity and embed plan the areas alike: at exactly N_E bits every
+    area carries the payload capacity reports for it."""
+    if kind == "text":
+        img = synth_image(160, 128, 13)
+    else:
+        img = BinaryImage(128, 128, rng.integers(0, 2, 128 * 128))
+    cap = wm.capacity(img, KEY)
+    msg = rng.integers(0, 2, cap.n_embedded).astype(np.uint8)
+    _, report = wm.embed(img, KEY, msg)
+    assert len(report.per_area) == report.n_areas >= 4
+    assert ([(r.area, r.k, r.q_p) for r in report.per_area]
+            == [(r.area, r.k, r.q_p) for r in cap.per_area])
+
+
+def test_shuffle_equalizes_area_capacity():
+    """The paper's claim for the keyed shuffle: it evens out the flippable
+    pixels over the areas, so blank margins cost no area its header."""
+    page = np.zeros((256, 256), dtype=np.uint8)
+    page[85:170] = synth_image(256, 85, 3).grid()  # text, blank margins
+    img = BinaryImage(256, 256, page.reshape(-1))
+    mask = flippability.compute_mask(img).as_bool()
+    raster_k = mask.reshape(-1, AREA_SIZE).sum(axis=1)  # unshuffled areas
+    assert (raster_k < 12).sum() >= 8
+    assert raster_k.std() / raster_k.mean() > 1
+    for key in (b"a", b"b", b"c", b"d"):
+        report = wm.capacity(img, StegoKey(key))  # every area holds a header
+        k = np.array([r.k for r in report.per_area])
+        assert k.sum() == raster_k.sum() and k.min() >= 4 * 12
+        assert k.std() / k.mean() < 0.25
 
 
 def test_determinism(rng):

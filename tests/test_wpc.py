@@ -4,13 +4,12 @@ import pytest
 from wetmark import gf2
 from wetmark.prng import StegoKey
 from wetmark.wpc import (
-    AreaBatch,
     AreaCodec,
+    AreaPlan,
     HeaderCapacityError,
     embed_area,
     extract_area,
     pack_bits,
-    plan_message,
     unpack_bits,
 )
 
@@ -209,20 +208,17 @@ def test_batched_areas_match_area_by_area():
         pos += used
     assert pos == len(msg)
 
-    plans = plan_message(codecs, covers, masks, len(msg))
-    assert len(plans) > 1  # areas carrying payload, then header-only ones
-    got, pos = [], 0
-    for batch, q_p in plans:
-        for codec, q, flip_at in zip(batch.codecs, q_p.tolist(),
-                                     batch.embed(msg[pos:], q_p)):
-            delta = np.zeros(codec.n, dtype=np.uint8)
-            delta[flip_at] = 1
-            modified = covers[codec.area_index] ^ pack_bits(delta)
-            got.append((q, modified.tolist()))
-        pos += int(q_p.sum())
+    areas = AreaPlan(codecs, covers, masks, len(msg))
+    assert len(areas.batches) > 1  # payload areas, then header-only ones
+    got = []
+    for codec, q, flip_at in zip(codecs, areas.q_p.tolist(), areas.embed(msg)):
+        delta = np.zeros(codec.n, dtype=np.uint8)
+        delta[flip_at] = 1
+        modified = covers[codec.area_index] ^ pack_bits(delta)
+        got.append((q, modified.tolist()))
     assert got == expected
     # some area had dependent rows among those planned for it
-    assert any((b.echelon.prefix < b.echelon.sizes).any() for b, _ in plans)
+    assert any((e.prefix < e.sizes).any() for *_, e in areas.batches)
 
 
 def test_batch_names_the_first_area_without_header_room():
@@ -233,9 +229,9 @@ def test_batch_names_the_first_area_without_header_room():
         with pytest.raises(HeaderCapacityError):
             embed_area(covers[area], masks[area], codecs[area], msg)
     with pytest.raises(HeaderCapacityError, match="^area 2:"):
-        AreaBatch(codecs, covers, masks)
+        AreaPlan(codecs, covers, masks, sum(len(m) for m in masks))
     with pytest.raises(HeaderCapacityError, match="^area 4:"):
-        plan_message(codecs[3:], covers[3:], masks[3:], len(msg))
+        AreaPlan(codecs[3:], covers[3:], masks[3:], len(msg))
 
 
 def test_inconsistent_area_system_raises(monkeypatch):
