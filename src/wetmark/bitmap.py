@@ -18,7 +18,8 @@ MAX_PIXELS = 1 << 26
 
 # Whitespace is bytes.isspace's: space, \t, \n, \v, \f and \r.
 _SPACE = re.compile(rb"[ \t\n\v\f\r]*")
-_TOKEN = re.compile(rb"[^ \t\n\v\f\r#]*")
+_MAX_TOKEN = 64  # bytes of a width or height token; zero padding included
+_TOKEN = re.compile(rb"[^ \t\n\v\f\r#]{0,%d}" % (_MAX_TOKEN + 1))
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
 # P1 byte classes: the pixel value of "0" and "1", 2 for whitespace and
@@ -122,6 +123,8 @@ def parse_pbm(data) -> BinaryImage:
         body_off = _TOKEN.match(data, start).end()
         if body_off == start:
             raise PbmError("missing dimensions")
+        if body_off - start > _MAX_TOKEN:
+            raise PbmError(f"dimension token longer than {_MAX_TOKEN} bytes")
         tokens.append(data[start:body_off])
     try:
         width, height = map(int, tokens)

@@ -61,9 +61,8 @@ class EmbedReport:
             "areas": [a.to_dict() for a in self.per_area],
         }
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 @dataclass(frozen=True)

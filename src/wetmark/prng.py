@@ -9,7 +9,7 @@ reproducible without knowing the final row count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,13 +26,15 @@ _CHUNK = 1 << 14  # stream words drawn at a time, to bound temporaries
 
 @dataclass(frozen=True)
 class StegoKey:
-    """Shared secret; arbitrary non-empty bytes."""
+    """Shared secret; arbitrary non-empty bytes, digested once."""
 
     key_bytes: bytes
+    digest: int = field(init=False, repr=False, compare=False)  # fnv1a64
 
     def __post_init__(self):
         if not self.key_bytes:
             raise ValueError("key must be non-empty")
+        object.__setattr__(self, "digest", fnv1a64(self.key_bytes))
 
     @classmethod
     def from_text(cls, text: str) -> "StegoKey":
@@ -59,7 +61,7 @@ def mix64(x: int) -> int:
 
 def derive_seed(key: StegoKey, tag: int, area: int = 0) -> int:
     """Seed for the (key, tag, area) stream; streams never alias across tags."""
-    return mix64(fnv1a64(key.key_bytes) ^ tag ^ ((area * GAMMA) & MASK64))
+    return mix64(key.digest ^ tag ^ ((area * GAMMA) & MASK64))
 
 
 def stream_words(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -81,10 +83,11 @@ def stream_words(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 
 def permutation(key: StegoKey, n_total: int) -> np.ndarray:
-    """Keyed Fisher-Yates permutation of 0..n_total-1.
+    """Keyed Fisher-Yates permutation of 0..n_total-1, as uint32.
 
-    Swap t = 0, 1, ..., n_total-2 exchanges the entries at positions
-    i = n_total-1-t and j_t = (word t of the TAG_PERM stream) mod (i+1).
+    Swap t = 0, 1, ..., n_total-1 exchanges the entries at positions
+    i = n_total-1-t and j_t = (word t of the TAG_PERM stream) mod (i+1);
+    the last swap, of position 0 with itself, changes nothing.
 
     The swaps are not run one after another. Position i is final after
     swap t and receives what position j_t held just before it: j_t
@@ -98,15 +101,12 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     """
     if not 1 <= n_total <= 1 << 32:
         raise ValueError("n_total must be in 1 .. 2**32")
-    if n_total == 1:
-        return np.zeros(1, dtype=np.int64)
     n = n_total
-    m = n - 1
-    chunks = [(s, min(m, s + _CHUNK)) for s in range(0, m, _CHUNK)]
+    chunks = [(s, min(n, s + _CHUNK)) for s in range(0, n, _CHUNK)]
     seed = derive_seed(key, TAG_PERM)
     # Sort the swaps by (j_t, t), packed as j_t * 2**32 + t: each run of
     # the sorted order holds the swaps that drew one position, in order.
-    order = np.empty(m, dtype=np.uint64)
+    order = np.empty(n, dtype=np.uint64)
     for s, e in chunks:
         j = stream_words(seed, e - s, offset=s) % np.arange(
             n - s, n - e, -1, dtype=np.uint64)
@@ -115,24 +115,17 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     halves = order.view(np.uint32)
     swap, drawn = ((halves[0::2], halves[1::2]) if np.little_endian
                    else (halves[1::2], halves[0::2]))
-    first = np.ones(m, dtype=bool)  # the first swap that drew its position
-    np.not_equal(drawn[1:], drawn[:-1], out=first[1:])
-    none = np.uint32(0xFFFFFFFF)
-    last = np.full(n, none, dtype=np.uint32)  # last swap that drew each position
-    for s, e in chunks:
-        end = np.ones(e - s, dtype=bool)
-        tail = first[s + 1:e + 1]
-        end[:len(tail)] = tail
-        last[drawn[s:e][end]] = swap[s:e][end]
+    # first[u]: sorted swap u starts its run; first[u + 1]: it ends it.
+    first = np.ones(n + 1, dtype=bool)
+    np.not_equal(drawn[1:], drawn[:-1], out=first[1:n])
     # link[t]: the last swap before t that drew i_t = n-1-t, or t itself
     # (a root) if there is none. A swap with j_t = i_t links to itself too,
     # wrongly, but it is the last to draw i_t, so no entry it holds is read.
-    link = last[:0:-1].copy()
-    last_at_0 = last[0]
-    del last
+    link = np.arange(n, dtype=np.uint32)
+    by_position = link[::-1]
     for s, e in chunks:
-        part = link[s:e]
-        np.copyto(part, np.arange(s, e, dtype=np.uint32), where=part == none)
+        end = first[s + 1:e + 1]
+        by_position[drawn[s:e][end]] = swap[s:e][end]
     root, spare = link, np.empty_like(link)
     while True:
         for s, e in chunks:
@@ -140,15 +133,14 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
         if np.array_equal(spare, root):
             break
         root, spare = spare, root
-    del spare
+    del link, by_position, spare
     held = np.subtract(n - 1, root, out=root)  # entry at i_t before swap t
-    perm = np.empty(n, dtype=np.int64)
+    perm = np.empty(n, dtype=np.uint32)
     for s, e in chunks:
-        value = drawn[s:e].astype(np.int64)
+        value = drawn[s:e]  # read nowhere else: overwritten in place
         later = np.flatnonzero(~first[s:e])
         value[later] = held[swap[later + s - 1]]
-        perm[(n - 1) - swap[s:e].astype(np.int64)] = value
-    perm[0] = 0 if last_at_0 == none else held[last_at_0]
+        perm[::-1][swap[s:e]] = value  # perm[::-1][t] is position i_t
     return perm
 
 

@@ -128,6 +128,16 @@ def test_pixel_cap_checked_before_allocation(magic):
     assert 8192 * 8192 == MAX_PIXELS
 
 
+def test_dimension_tokens_are_bounded():
+    # Zero padding counts: a 64-byte token is read, a 65-byte one is not.
+    img = parse_pbm(b"P1 " + b"2".zfill(64) + b" 1\n10")
+    assert (img.width, img.height) == (2, 1)
+    for data in (b"P1 " + b"2".zfill(65) + b" 1\n10",
+                 b"P4 2 " + b"x" * 65 + b"\n\x80"):
+        with pytest.raises(PbmError, match="longer than 64 bytes"):
+            parse_pbm(data)
+
+
 # --- differential fuzzing against the byte-by-byte reference parser -------
 
 _PBM_BYTES = st.one_of(st.sampled_from(list(b"01 \t\n\v\f\r#9x")),

@@ -176,6 +176,25 @@ def test_trailing_bytes_are_not_read(tmp_path, capsys, fmt):
                              .to_json())
 
 
+def test_overlong_dimension_token_is_refused_unread(tmp_path, capsys):
+    """A dimension token is refused once it is too long, not copied whole."""
+    digits = tmp_path / "digits.pbm"
+    with open(digits, "wb") as fh:
+        fh.write(b"P1 ")
+        fh.write(b"1" * (60 << 20))
+    tracemalloc.start()
+    try:
+        code = run(["capacity", "--in", digits, "--key", "k"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        digits.unlink()
+    assert code == 3
+    assert peak < 4 << 20  # slicing out the 60 MB token would show
+    err = capsys.readouterr().err
+    assert "longer than 64 bytes" in err and "non-numeric" not in err
+
+
 def test_analyze(tmp_path, cover, capsys):
     mask_path = tmp_path / "mask.pbm"
     assert run(["analyze", "--in", cover, "--out", mask_path]) == 0

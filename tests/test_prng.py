@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wetmark import prng
 from wetmark.prng import (
     TAG_MATR,
     TAG_PERM,
@@ -84,6 +87,25 @@ def test_derive_seed_determinism_and_separation():
     assert derive_seed(key, TAG_MATR, 3) == expected
 
 
+def test_key_is_hashed_once(monkeypatch):
+    """Seeds come from the digest taken when the key was made; a long key
+    is not hashed again for every area of every embed and extract."""
+    data = bytes(range(256)) * 16
+    key, twin, short = StegoKey(data), StegoKey(data), StegoKey(b"ab")
+
+    def rehashed(_):
+        raise RuntimeError("key hashed again")
+
+    monkeypatch.setattr(prng, "fnv1a64", rehashed)
+    seed = mix64(oracle_fnv(data) ^ TAG_MATR
+                 ^ ((7 * 0x9E3779B97F4A7C15) & MASK))
+    assert derive_seed(key, TAG_MATR, 7) == seed
+    assert matrix_words(key, 7, 3, 128).reshape(-1).tolist() == \
+        oracle_splitmix(seed, 6)
+    assert key == twin and hash(key) == hash(twin)
+    assert repr(short) == "StegoKey(key_bytes=b'ab')"
+
+
 def test_empty_key_rejected():
     with pytest.raises(ValueError):
         StegoKey(b"")
@@ -115,12 +137,25 @@ def test_permutation_matches_independent_fisher_yates():
     assert permutation(key, 8).tolist() == oracle_fisher_yates(b"fixed-key", 8)
 
 
-@pytest.mark.parametrize("n", [4097, 16384, 67500])
+@pytest.mark.parametrize("n", [1, 2, 4097, 16384, 16385, 67500])
 def test_permutation_matches_fisher_yates_with_long_chains(n):
     # Sizes where many swaps draw the same position, so that the links
-    # between swaps run many levels deep, unlike at n = 8.
+    # between swaps run many levels deep, unlike at n = 8; the smallest
+    # sizes, and 16385, where the no-op last swap is alone in its chunk.
     key = StegoKey(b"fixed-key")
     assert permutation(key, n).tolist() == oracle_fisher_yates(b"fixed-key", n)
+
+
+def test_permutation_is_uint32_in_bounded_memory():
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        perm = permutation(StegoKey(b"k"), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert perm.dtype == np.uint32
+    assert peak <= 20 * n  # the output itself is 4 bytes per pixel
 
 
 def test_permutation_size_limits():
