@@ -50,11 +50,15 @@ class BinaryImage:
             raise ValueError(f"dimensions exceed {MAX_SIDE}")
         if self.width * self.height > MAX_PIXELS:
             raise ValueError(f"image exceeds {MAX_PIXELS} pixels")
-        bits = np.ascontiguousarray(self.bits, dtype=np.uint8)
+        bits = np.asarray(self.bits)
         if bits.shape != (self.width * self.height,):
             raise ValueError("bits length must equal width*height")
-        if bits.size and bits.max() > 1:
+        # Checked before the cast, which would wrap 256 to 0; max() is
+        # exact on uint8 and makes no image-sized temporary.
+        if (bits.max() > 1 if bits.dtype == np.uint8
+                else not ((bits == 0) | (bits == 1)).all()):
             raise ValueError("bits must be 0 or 1")
+        bits = np.ascontiguousarray(bits, dtype=np.uint8)
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 

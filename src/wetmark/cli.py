@@ -1,7 +1,8 @@
 """Command-line front end: embed, extract, capacity, analyze.
 
 Exit codes: 0 success, 2 capacity failure (message too long or an area
-cannot hold a header), 3 parse/IO error, 4 usage error.
+cannot hold a header), 3 parse/IO error, 4 usage error (a malformed
+``--key`` included).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--in", dest="inp", required=True, metavar="PATH",
                        help="input PBM (P1 or P4)")
         if key:
-            p.add_argument("--key", required=True,
+            p.add_argument("--key", required=True, type=StegoKey.from_text,
                            help="stego key: UTF-8 text, or hex:<hexbytes>")
 
     p = sub.add_parser("embed", help="embed a message file into a cover image")
@@ -94,10 +95,9 @@ def _bytes_from_bits(bits: np.ndarray) -> bytes:
 def _run(args) -> int:
     if args.command == "embed":
         img, variant = _read_image(args.inp)
-        key = StegoKey.from_text(args.key)
         with open(args.msg, "rb") as fh:
             message = _bits_from_bytes(fh.read())
-        stego, report = pipeline.embed(img, key, message)
+        stego, report = pipeline.embed(img, args.key, message)
         fmt = args.format.upper() if args.format else variant
         with open(args.out, "wb") as fh:
             fh.write(serialize_pbm(stego, fmt))
@@ -110,8 +110,7 @@ def _run(args) -> int:
 
     if args.command == "extract":
         img, _ = _read_image(args.inp)
-        key = StegoKey.from_text(args.key)
-        bits = pipeline.extract(img, key)
+        bits = pipeline.extract(img, args.key)
         with open(args.out, "wb") as fh:
             fh.write(_bytes_from_bits(bits))
         print(f"{len(bits)} bits", file=sys.stderr)
@@ -119,8 +118,7 @@ def _run(args) -> int:
 
     if args.command == "capacity":
         img, _ = _read_image(args.inp)
-        key = StegoKey.from_text(args.key)
-        report = pipeline.capacity(img, key)
+        report = pipeline.capacity(img, args.key)
         print(report.to_json())
         return 0
 

@@ -54,40 +54,34 @@ class Echelon:
         h[:, self._local, self._system] = rows.T
         systems = np.arange(count)
         scratch = np.empty((height, count), dtype=np.uint64)
-        # One record per column that has a pivot in some system.
-        width = 64 * words
-        self.top = np.zeros(width, dtype=np.int64)  # first remaining row
-        self.col = np.zeros(width, dtype=np.int64)
-        self.pivot_row = np.full((width, count), -1)  # -1: no pivot
-        self.pivot = np.zeros((width, count, words), dtype=np.uint64)
-        self.adds = np.zeros((width, height, (count + 7) // 8), dtype=np.uint8)
-        t = top = 0
-        for c in range(width):
+        # the row after the last never pivots
+        pivoted = np.zeros((height + 1, count), dtype=bool)
+        # One step per column that pivots in some system: (top, column,
+        # pivoting systems, their pivot rows, their pivots from the column's
+        # word on, and the rows from top on that got the pivot, packed).
+        self.steps = []
+        top = 0
+        for c in range(64 * words):
             while top < height and not h[:, top].any():
                 top += 1
             if top == height:
                 break
             w = c >> 6
             has = (h[w, top:] >> _SHIFT[c & 63]) & _ONE
-            pivots = has.any(axis=0)
-            if not pivots.any():
-                continue
             adds = has.astype(bool)
+            which = np.flatnonzero(adds.any(axis=0))
+            if not which.size:
+                continue
             first = top + adds.argmax(axis=0)
-            pivot = h[:, first, systems]
+            pivot = h[w:, first, systems]
             mask = np.negative(has)
             for v in range(w, words):
-                np.bitwise_and(mask, pivot[v], out=scratch[top:])
+                np.bitwise_and(mask, pivot[v - w], out=scratch[top:])
                 h[v, top:] ^= scratch[top:]
-            self.top[t], self.col[t] = top, c
-            self.pivot_row[t] = np.where(pivots, first, -1)
-            self.pivot[t] = pivot.T
-            self.adds[t, top:] = np.packbits(adds, axis=1)
-            t += 1
-        self.steps = t
-        pivoted = np.zeros((height + 1, count), dtype=bool)
-        pivoted[self.pivot_row[:t], systems] = True
-        pivoted[-1] = False  # where the -1s landed
+            rows = first[which]
+            pivoted[rows, which] = True
+            self.steps.append((top, c, which, rows, pivot.T[which],
+                               np.packbits(adds, axis=1)))
         # the longest prefix of rows that are independent
         self.prefix = np.argmin(pivoted, axis=0)
 
@@ -103,23 +97,21 @@ class Echelon:
         if len(rhs_bits) != len(self._local):
             raise ValueError("rhs length must equal row count")
         count = len(self.sizes)
-        systems = np.arange(count)
         rhs = np.zeros((self.height, count), dtype=np.uint8)
         rhs[self._local, self._system] = rhs_bits
-        carried = np.zeros((self.steps, count), dtype=np.uint8)
-        for t in range(self.steps):
-            top, rows = self.top[t], self.pivot_row[t]
-            carried[t] = rhs[rows, systems] & (rows >= 0)
-            rhs[top:] ^= np.unpackbits(self.adds[t, top:], axis=1,
-                                       count=count) & carried[t]
+        carried = np.zeros((len(self.steps), count), dtype=np.uint8)
+        for bit, (top, _, which, rows, _, adds) in zip(carried, self.steps):
+            bit[which] = rhs[rows, which]
+            rhs[top:] ^= np.unpackbits(adds, axis=1, count=count) & bit
         inside = np.arange(self.height)[:, None] < use
         consistent = ~(rhs.astype(bool) & inside).any(axis=0)
         v = np.zeros((count, self.words), dtype=np.uint64)
-        for t in reversed(range(self.steps)):
-            c, rows = self.col[t], self.pivot_row[t]
-            parity = np.bitwise_count(self.pivot[t] & v).sum(axis=1) & 1
-            x = (carried[t] ^ parity) & (rows >= 0) & (rows < use)
-            v[:, c >> 6] |= x.astype(np.uint64) << _SHIFT[c & 63]
+        for (_, c, which, rows, pivot, _), bit in zip(reversed(self.steps),
+                                                      reversed(carried)):
+            w = c >> 6
+            parity = np.bitwise_count(pivot & v[which, w:]).sum(axis=1) & 1
+            x = (bit[which] ^ parity) & (rows < use[which])
+            v[which, w] |= x.astype(np.uint64) << _SHIFT[c & 63]
         return v, consistent
 
 

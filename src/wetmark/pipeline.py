@@ -96,15 +96,14 @@ def _plan_areas(img: BinaryImage, key: StegoKey, n_bits: int):
     and the ``wpc.AreaPlan`` of ``n_bits`` over the areas."""
     perm, idx = _shuffle(img, key)
     flippable = flippability.compute_mask(img).as_bool()[idx]
-    areas = wpc.AreaPlan([AreaCodec(key, a) for a in range(len(idx))],
-                         wpc.pack_bits(img.bits[idx]),
+    areas = wpc.AreaPlan(AreaCodec(key), wpc.pack_bits(img.bits[idx]),
                          [np.flatnonzero(row) for row in flippable], n_bits)
     return idx, perm.size - idx.size, areas
 
 
 def _report(areas: wpc.AreaPlan, leftover: int, flips) -> EmbedReport:
-    records = tuple(AreaRecord(c.area_index, int(k), int(q), f) for c, k, q, f
-                    in zip(areas.codecs, areas.k, areas.q_p, flips))
+    records = tuple(map(AreaRecord, areas.area_index.tolist(),
+                        areas.k.tolist(), areas.q_p.tolist(), flips))
     return EmbedReport(len(records), int(areas.k.sum()),
                        int(areas.q_p.sum()), leftover, records)
 
@@ -139,4 +138,4 @@ def capacity(img: BinaryImage, key: StegoKey) -> EmbedReport:
     """Capacity accounting without modifying any pixel."""
     # more bits than any image holds: every area is planned on all its rows
     _, leftover, areas = _plan_areas(img, key, img.width * img.height)
-    return _report(areas, leftover, [0] * len(areas.codecs))
+    return _report(areas, leftover, [0] * len(areas.k))

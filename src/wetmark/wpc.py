@@ -73,9 +73,6 @@ def message_bits(message) -> np.ndarray:
 
 def restrict_columns(rows_words: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Rows of D restricted to the given columns, re-packed as words."""
-    nrows = len(rows_words)
-    if len(cols) == 0:
-        return np.zeros((nrows, 1), dtype=np.uint64)
     row_bytes = np.ascontiguousarray(rows_words).view(np.uint8)
     bits = (row_bytes[:, cols >> 3] >> (cols & 7).astype(np.uint8)) & 1
     return pack_bits(bits)
@@ -98,26 +95,27 @@ class AreaPlan:
     zero-length headers alone. With more bits than the areas hold, one
     batch plans every area on all the rows it could ever use, which is
     its capacity. Every area is eliminated exactly once.
+
+    The areas share the key and size of ``codec``, the first area's, and
+    take the area indices after it.
     """
 
-    def __init__(self, codecs: list[AreaCodec], covers, flippables,
-                 n_bits: int):
-        self.codecs = codecs
+    def __init__(self, codec: AreaCodec, covers, flippables, n_bits: int):
+        self.codec = codec
         self.flippables = [np.asarray(f, dtype=np.int64) for f in flippables]
         self.k = np.array([len(f) for f in self.flippables], dtype=np.int64)
-        self.header_bits = np.array([c.header_bits for c in codecs],
-                                    dtype=np.int64)
-        self.q_p = np.zeros(len(codecs), dtype=np.int64)
+        self.area_index = codec.area_index + np.arange(len(self.k))
+        self.q_p = np.zeros(len(self.k), dtype=np.int64)
         self.batches = []  # (areas slice, row starts, syndrome, Echelon)
-        most = np.maximum(0, self.k - self.header_bits)
+        most = np.maximum(0, self.k - codec.header_bits)
         start, left = 0, n_bits
-        while start < len(codecs):
-            end = len(codecs)
+        while start < len(self.k):
+            end = len(self.k)
             if left:
                 need = np.searchsorted(np.cumsum(most[start:]), left)
                 end = min(end, start + int(need) + 2)
             part = slice(start, end)
-            rows = self.header_bits[part] + np.minimum(most[part], left)
+            rows = codec.header_bits + np.minimum(most[part], left)
             room = self._eliminate(part, covers[part], rows)
             before = np.cumsum(room) - room
             self.q_p[part] = np.clip(left - before, 0, room)
@@ -131,20 +129,21 @@ class AreaPlan:
         words = max(1, (int(self.k[part].max(initial=0)) + 63) // 64)
         h_rows = np.zeros((int(rows.sum()), words), dtype=np.uint64)
         syndrome = np.zeros(len(h_rows), dtype=np.uint8)
-        for codec, cover, cols, at, q in zip(self.codecs[part], covers,
-                                             self.flippables[part], starts,
-                                             rows.tolist()):
-            d_words = prng.matrix_words(codec.key, codec.area_index, q, codec.n)
+        key, n = self.codec.key, self.codec.n
+        for area, cover, cols, at, q in zip(self.area_index[part].tolist(),
+                                            covers, self.flippables[part],
+                                            starts, rows.tolist()):
+            d_words = prng.matrix_words(key, area, q, n)
             restricted = restrict_columns(d_words, cols)
             h_rows[at:at + q, :restricted.shape[1]] = restricted
             syndrome[at:at + q] = gf2.mat_vec_words(d_words, cover)
         echelon = gf2.max_independent_prefix_words(h_rows, rows)
-        prefix, hb = echelon.prefix, self.header_bits[part]
+        prefix, hb = echelon.prefix, self.codec.header_bits
         for i in np.flatnonzero(prefix < hb)[:1]:
             raise HeaderCapacityError(
-                f"area {self.codecs[part][i].area_index}: only {prefix[i]} "
+                f"area {self.area_index[part][i]}: only {prefix[i]} "
                 f"independent rows over {self.k[part][i]} flippable pixels, "
-                f"need {hb[i]} for the header")
+                f"need {hb} for the header")
         self.batches.append((part, starts, syndrome, echelon))
         return prefix - hb
 
@@ -155,15 +154,15 @@ class AreaPlan:
         flips = []
         for part, starts, syndrome, echelon in self.batches:
             rhs = syndrome.copy()
-            hb, q_p = self.header_bits[part], self.q_p[part]
-            for at, h, q, end in zip(starts, hb, q_p.tolist(), ends[part]):
-                header = (q >> np.arange(h - 1, -1, -1)) & 1  # big-endian
-                rhs[at:at + h] ^= header.astype(np.uint8)
-                rhs[at + h:at + h + q] ^= message[end - q:end]
+            hb, q_p = self.codec.header_bits, self.q_p[part]
+            for at, q, end in zip(starts, q_p.tolist(), ends[part]):
+                header = (q >> np.arange(hb - 1, -1, -1)) & 1  # big-endian
+                rhs[at:at + hb] ^= header.astype(np.uint8)
+                rhs[at + hb:at + hb + q] ^= message[end - q:end]
             v, consistent = echelon.solve(rhs, hb + q_p)
             if not consistent.all():
-                bad = self.codecs[part][np.argmin(consistent)]
-                raise RuntimeError(f"area {bad.area_index}: independent rows "
+                bad = self.area_index[part][np.argmin(consistent)]
+                raise RuntimeError(f"area {bad}: independent rows "
                                    "gave an inconsistent system")
             v_bits = np.unpackbits(v.view(np.uint8), axis=1, bitorder="little")
             flips += [cols[v_bits[i, :len(cols)] == 1]
@@ -181,7 +180,7 @@ def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
     bit sequence.
     """
     message = message_bits(message)
-    area = AreaPlan([codec], [cover_words], [flippable], len(message))
+    area = AreaPlan(codec, [cover_words], [flippable], len(message))
     flip_at = area.embed(message)[0]
     delta = np.zeros(codec.n, dtype=np.uint8)
     delta[flip_at] = 1

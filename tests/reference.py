@@ -60,14 +60,18 @@ def oracle_parse_pbm(data: bytes) -> BinaryImage:
     if magic not in (b"P1", b"P4"):
         raise PbmError(f"unsupported magic {magic!r}")
 
-    toks = _tokens(data[2:])
+    toks, dims = _tokens(data[2:]), []
+    for _ in range(2):
+        try:
+            _, tok = next(toks)
+        except StopIteration:
+            raise PbmError("missing dimensions") from None
+        # README: a token over 64 bytes is refused as soon as it is read
+        if len(tok) > 64:
+            raise PbmError("dimension token longer than 64 bytes")
+        dims.append(tok)
     try:
-        _, wtok = next(toks)
-        _, htok = next(toks)
-    except StopIteration:
-        raise PbmError("missing dimensions") from None
-    try:
-        width, height = int(wtok), int(htok)
+        width, height = map(int, dims)
     except ValueError:
         raise PbmError("non-numeric dimensions") from None
     if width < 1 or height < 1:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wetmark import bitmap
 from wetmark.bitmap import (
@@ -62,6 +62,15 @@ def test_parse_p4_multirow():
 def test_parse_errors(data):
     with pytest.raises(PbmError):
         parse_pbm(data)
+
+
+@pytest.mark.parametrize("bits", [
+    np.array([256, 1]), np.array([257, 0]), np.array([0.7, 1.0]), [256, 1],
+])
+def test_image_rejects_values_other_than_0_and_1(bits):
+    """Values are checked as given, not after a cast that wraps them."""
+    with pytest.raises(ValueError, match="^bits must be 0 or 1$"):
+        BinaryImage(2, 1, bits)
 
 
 def test_serialize_p4_packing():
@@ -187,6 +196,7 @@ def _outcome(parse, data):
               st.binary(max_size=64)),
 ))
 @settings(max_examples=600)
+@example(b"P1116" + b"0" * 66)  # a 69-byte width token and no height
 def test_parse_fuzz_against_oracle(data):
     # Any exception other than PbmError fails the test.
     got = _outcome(parse_pbm, data)

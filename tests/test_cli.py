@@ -111,6 +111,14 @@ def test_missing_key_usage_error(cover, tmp_path):
     assert run(["bogus"]) == 4
 
 
+@pytest.mark.parametrize("key", ["", "hex:", "hex:zz"])
+def test_malformed_key_usage_error_before_input(tmp_path, capsys, key):
+    """A bad key is a usage error, found before the input is opened."""
+    assert run(["capacity", "--in", tmp_path / "missing.pbm",
+                "--key", key]) == 4
+    assert "--key" in capsys.readouterr().err
+
+
 def test_bad_input_io_error(tmp_path):
     bad = tmp_path / "bad.pbm"
     bad.write_bytes(b"P5\n2 2\nxxxx")

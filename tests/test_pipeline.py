@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,29 @@ def test_report_json_schema(rng):
     assert doc["N_E"] == sum(a["q_p"] for a in doc["areas"])
     for a in doc["areas"]:
         assert set(a) == {"area", "k", "q_p", "flips"}
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_dense_cover_memory_per_pixel():
+    """Capacity, and embed at capacity, of an iid cover: every area has
+    k near 900, so the elimination's records set the peak."""
+    n = 256 * 256
+    bits = np.random.default_rng(41).integers(0, 2, n, dtype=np.uint8)
+    img = BinaryImage(256, 256, bits)
+    report, peak = _traced_peak(wm.capacity, img, KEY)
+    assert peak <= 125 * n
+    message = np.ones(report.n_embedded, dtype=np.uint8)
+    _, peak = _traced_peak(wm.embed, img, KEY, message)
+    assert peak <= 125 * n
 
 
 def test_extract_too_small():

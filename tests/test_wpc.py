@@ -208,7 +208,7 @@ def test_batched_areas_match_area_by_area():
         pos += used
     assert pos == len(msg)
 
-    areas = AreaPlan(codecs, covers, masks, len(msg))
+    areas = AreaPlan(codecs[0], covers, masks, len(msg))
     assert len(areas.batches) > 1  # payload areas, then header-only ones
     got = []
     for codec, q, flip_at in zip(codecs, areas.q_p.tolist(), areas.embed(msg)):
@@ -229,9 +229,9 @@ def test_batch_names_the_first_area_without_header_room():
         with pytest.raises(HeaderCapacityError):
             embed_area(covers[area], masks[area], codecs[area], msg)
     with pytest.raises(HeaderCapacityError, match="^area 2:"):
-        AreaPlan(codecs, covers, masks, sum(len(m) for m in masks))
+        AreaPlan(codecs[0], covers, masks, sum(len(m) for m in masks))
     with pytest.raises(HeaderCapacityError, match="^area 4:"):
-        AreaPlan(codecs[3:], covers[3:], masks[3:], len(msg))
+        AreaPlan(codecs[3], covers[3:], masks[3:], len(msg))
 
 
 def test_inconsistent_area_system_raises(monkeypatch):
