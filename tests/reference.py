@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use.
 
 They are the plain loops the library replaced with whole-array code, kept
-as oracles: the tests require the library to agree with them. The GF(2)
-helpers at the end hold rows as Python ints (bit j of a row int = column
-j); ``solve`` and ``max_independent_prefix`` among them are not oracles
-but thin adapters that run the library's word engine on such rows.
+as oracles: the tests require the library to agree with them.
+``ColumnEchelon`` is the column-at-a-time elimination that ``gf2.Echelon``
+replaced with blocks of 8 columns. The GF(2) helpers at the end hold rows
+as Python ints (bit j of a row int = column j); ``solve`` and
+``max_independent_prefix`` among them are not oracles but thin adapters
+that run the library's word engine on such rows.
 """
 
 from __future__ import annotations
@@ -134,6 +136,91 @@ def oracle_serialize_p1(img: BinaryImage) -> bytes:
         row = img.grid()[y]
         lines.append(" ".join(str(int(b)) for b in row).encode())
     return b"\n".join(lines) + b"\n"
+
+
+# --- GF(2) elimination one column at a time --------------------------------
+
+_ONE = np.uint64(1)
+_SHIFT = np.arange(64, dtype=np.uint64)
+
+
+class ColumnEchelon:
+    """``gf2.Echelon``'s lock-step elimination, one column per step.
+
+    Same constructor, ``.prefix`` and ``solve``. Step c takes the first
+    remaining row with column c as the pivot of every system that has
+    one, and adds it to every remaining row with that column, itself
+    included; ``solve`` replays the steps forward for the pivots' carried
+    bits and backward for the solution, with free variables 0.
+    """
+
+    def __init__(self, rows: np.ndarray, sizes):
+        rows = np.ascontiguousarray(rows, dtype=np.uint64)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        total, count = len(rows), len(self.sizes)
+        if self.sizes.sum() != total:
+            raise ValueError("sizes must add up to the row count")
+        words = self.words = rows.shape[1]
+        starts = np.cumsum(self.sizes) - self.sizes
+        self._system = np.repeat(np.arange(count), self.sizes)
+        self._local = np.arange(total) - np.repeat(starts, self.sizes)
+        height = self.height = int(self.sizes.max(initial=0))
+        h = np.zeros((words, height, count), dtype=np.uint64)
+        h[:, self._local, self._system] = rows.T
+        systems = np.arange(count)
+        scratch = np.empty((height, count), dtype=np.uint64)
+        # the row after the last never pivots
+        pivoted = np.zeros((height + 1, count), dtype=bool)
+        # (top, column, pivoting systems, their pivot rows, their pivots
+        # from the column's word on, the rows from top on that got the
+        # pivot, packed)
+        self.steps = []
+        top = 0
+        for c in range(64 * words):
+            while top < height and not h[:, top].any():
+                top += 1
+            if top == height:
+                break
+            w = c >> 6
+            has = (h[w, top:] >> _SHIFT[c & 63]) & _ONE
+            adds = has.astype(bool)
+            which = np.flatnonzero(adds.any(axis=0))
+            if not which.size:
+                continue
+            first = top + adds.argmax(axis=0)
+            pivot = h[w:, first, systems]
+            mask = np.negative(has)
+            for v in range(w, words):
+                np.bitwise_and(mask, pivot[v - w], out=scratch[top:])
+                h[v, top:] ^= scratch[top:]
+            rows = first[which]
+            pivoted[rows, which] = True
+            self.steps.append((top, c, which, rows, pivot.T[which],
+                               np.packbits(adds, axis=1)))
+        self.prefix = np.argmin(pivoted, axis=0)
+
+    def solve(self, rhs_bits: np.ndarray, use) -> tuple[np.ndarray, np.ndarray]:
+        rhs_bits = np.asarray(rhs_bits, dtype=np.uint8)
+        use = np.asarray(use, dtype=np.int64)
+        if len(rhs_bits) != len(self._local):
+            raise ValueError("rhs length must equal row count")
+        count = len(self.sizes)
+        rhs = np.zeros((self.height, count), dtype=np.uint8)
+        rhs[self._local, self._system] = rhs_bits
+        carried = np.zeros((len(self.steps), count), dtype=np.uint8)
+        for bit, (top, _, which, rows, _, adds) in zip(carried, self.steps):
+            bit[which] = rhs[rows, which]
+            rhs[top:] ^= np.unpackbits(adds, axis=1, count=count) & bit
+        inside = np.arange(self.height)[:, None] < use
+        consistent = ~(rhs.astype(bool) & inside).any(axis=0)
+        v = np.zeros((count, self.words), dtype=np.uint64)
+        for (_, c, which, rows, pivot, _), bit in zip(reversed(self.steps),
+                                                      reversed(carried)):
+            w = c >> 6
+            parity = np.bitwise_count(pivot & v[which, w:]).sum(axis=1) & 1
+            x = (bit[which] ^ parity) & (rows < use[which])
+            v[which, w] |= x.astype(np.uint64) << _SHIFT[c & 63]
+        return v, consistent
 
 
 # --- GF(2) rows as Python ints ----------------------------------------------

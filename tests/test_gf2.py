@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wetmark import gf2
 
 from reference import (
+    ColumnEchelon,
     bits_to_int,
     int_to_bits,
     int_to_words,
@@ -111,6 +112,20 @@ def test_solve_dimension_checks():
         echelon.solve(np.zeros(2, dtype=np.uint8), [2, 1])  # rhs too short
     with pytest.raises(ValueError, match="rhs"):
         gf2.solve_words(words, np.zeros(4, dtype=np.uint8))  # rhs too long
+
+
+def test_solve_rejects_non_bits():
+    # Rows x0 and x1: a full-rank system, which a cast of 2 to uint8
+    # would call inconsistent, and 256 would wrap to 0.
+    words = rows_to_words([0b01, 0b10], 2)
+    with pytest.raises(ValueError, match="0 or 1"):
+        gf2.solve_words(words, np.array([2, 0]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        gf2.Echelon(words, [2]).solve([256, 0], [2])
+    with pytest.raises(ValueError, match="0 or 1"):
+        gf2.Echelon(words, [2]).solve(np.array([0.5, 1.0]), [2])
+    v, consistent = gf2.Echelon(words, [2]).solve([True, False], [2])
+    assert consistent[0] and words_to_int(v[0]) == 0b01
 
 
 def test_solve_underdetermined_free_vars_zero():
@@ -249,3 +264,144 @@ def test_stacked_systems_match_single_ones(cols, shapes):
             if alone is not None:
                 assert words_to_int(v[i]) == alone
                 assert mat_vec(rows[:use[i]], alone) == rhs[i]
+
+
+# --- blocks of 8 columns against the Python-int oracles --------------------
+
+def pivot_columns(rows, cols):
+    """Columns that take a pivot when eliminating column by column: those
+    outside the span of the columns before them."""
+    basis, out = {}, 0  # lowest set bit -> reduced column
+    for c in range(cols):
+        col = bits_to_int([(row >> c) & 1 for row in rows])
+        while col:
+            low = col & -col
+            if low not in basis:
+                basis[low] = col
+                out |= 1 << c
+                break
+            col ^= basis[low]
+    return out
+
+
+def check_stack(systems, cols, r):
+    """Prefix and solves of one stacked elimination against ranks,
+    mat-vec products and the pivot columns of each system on its own."""
+    words = np.concatenate([rows_to_words(rows, cols) for rows in systems])
+    echelon = gf2.Echelon(words, [len(s) for s in systems])
+    for rows, p in zip(systems, echelon.prefix.tolist()):
+        assert rank(rows[:p]) == p
+        assert p == len(rows) or rank(rows[:p + 1]) == p
+    uses = [[len(s) for s in systems], echelon.prefix.tolist()]
+    uses += [[int(r.integers(0, len(s) + 1)) for s in systems]
+             for _ in range(3)]
+    for use in uses:
+        rhs = [bits_to_int(r.integers(0, 2, u).tolist()) for u in use]
+        rhs_bits = np.concatenate(
+            [int_to_bits(b, len(s)) for b, s in zip(rhs, systems)])
+        v, consistent = echelon.solve(rhs_bits, use)
+        for i, rows in enumerate(systems):
+            block = rows[:use[i]]
+            augmented = [row | ((rhs[i] >> j) & 1) << cols
+                         for j, row in enumerate(block)]
+            assert consistent[i] == (rank(augmented) == rank(block))
+            if consistent[i]:
+                x = words_to_int(v[i])
+                assert mat_vec(block, x) == rhs[i]
+                # free variables 0: only pivot columns are set
+                assert x & ~pivot_columns(block, cols) == 0
+
+
+def rows_over(r, n, columns):
+    """n rows, each bit of ``columns`` set with probability 1/2."""
+    out = []
+    for _ in range(n):
+        bits = r.integers(0, 2, len(columns)).tolist()
+        out.append(sum(b << c for b, c in zip(bits, columns)))
+    return out
+
+
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 63, 64, 65, 129])
+def test_block_edges_column_counts(cols):
+    r = np.random.default_rng(cols)
+    every = range(cols)
+    systems = [rows_over(r, cols + 2, every), rows_over(r, cols // 2 + 1, every),
+               rows_over(r, 5, every), [], rows_over(r, cols, every)]
+    check_stack(systems, cols, r)
+
+
+def test_block_edges_empty_block_between_pivoting_ones():
+    # No row has any of columns 8-15, so no system pivots in that block.
+    r = np.random.default_rng(1)
+    columns = [*range(8), *range(16, 24)]
+    systems = [rows_over(r, n, columns) for n in (20, 16, 9, 3)]
+    check_stack(systems, 24, r)
+
+
+def test_block_edges_systems_shorter_than_a_block():
+    r = np.random.default_rng(2)
+    systems = [rows_over(r, n, range(20)) for n in range(1, 8)]
+    systems[3][2] = systems[3][0] ^ systems[3][1]  # a dependent row
+    systems[5][4] = systems[5][1]                  # a repeated row
+    check_stack(systems, 20, r)
+
+
+def test_block_edges_across_a_word_boundary():
+    # Pivots only in columns 56-71: the last block of word 0 and the
+    # first of word 1.
+    r = np.random.default_rng(3)
+    systems = [rows_over(r, n, range(56, 72)) for n in (20, 16, 12, 1)]
+    check_stack(systems, 72, r)
+
+
+def test_block_edges_one_system_pivots_alone():
+    # Only system 0 has columns 8-15, so it pivots there alone.
+    r = np.random.default_rng(4)
+    alone = rows_over(r, 24, range(24))
+    others = [rows_over(r, n, [*range(8), *range(16, 24)]) for n in (24, 10)]
+    check_stack([alone] + others, 24, r)
+
+
+# --- differential test against the column-at-a-time elimination -----------
+
+def stack_rows(r, kind, sizes, words):
+    """Random rows of one kind for stacked systems of the given sizes."""
+    total = int(sum(sizes))
+    rows = r.integers(0, 1 << 64, (total, words), dtype=np.uint64)
+    if kind == "sparse":  # each bit set with probability 1/32
+        for _ in range(4):
+            rows &= r.integers(0, 1 << 64, (total, words), dtype=np.uint64)
+    elif kind == "deficient":  # combinations of a few rows
+        base = r.integers(0, 1 << 64, (int(r.integers(1, 12)), words),
+                          dtype=np.uint64)
+        picks = r.integers(0, 2, (total, len(base))).astype(bool)
+        rows = np.array([np.bitwise_xor.reduce(base[p], axis=0) if p.any()
+                         else np.zeros(words, dtype=np.uint64) for p in picks],
+                        dtype=np.uint64).reshape(total, words)
+    elif kind == "repeated":  # zero rows and copies of earlier rows
+        for i in range(total):
+            pick = r.integers(4)
+            if pick == 0:
+                rows[i] = 0
+            elif pick == 1 and i:
+                rows[i] = rows[r.integers(i)]
+    return rows
+
+
+@given(st.lists(st.integers(0, 140), max_size=8), st.integers(1, 4),
+       st.sampled_from(["dense", "sparse", "deficient", "repeated"]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_column_elimination(sizes, words, kind, seed):
+    r = np.random.default_rng(seed)
+    rows = stack_rows(r, kind, sizes, words)
+    echelon, oracle = gf2.Echelon(rows, sizes), ColumnEchelon(rows, sizes)
+    assert np.array_equal(echelon.prefix, oracle.prefix)
+    sizes = np.array(sizes, dtype=np.int64)
+    for use in (0 * sizes, oracle.prefix, np.minimum(sizes, oracle.prefix + 1),
+                sizes, r.integers(0, sizes + 1)):
+        rhs = r.integers(0, 2, len(rows), dtype=np.uint8)
+        v, consistent = echelon.solve(rhs, use)
+        v_oracle, consistent_oracle = oracle.solve(rhs, use)
+        assert np.array_equal(consistent, consistent_oracle)
+        assert np.array_equal(v, v_oracle)
