@@ -22,13 +22,8 @@ _MAX_TOKEN = 64  # bytes of a width or height token; zero padding included
 _TOKEN = re.compile(rb"[^ \t\n\v\f\r#]{0,%d}" % (_MAX_TOKEN + 1))
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
-# P1 byte classes: the pixel value of "0" and "1", 2 for whitespace and
-# _P1_INVALID for any other byte.
-_P1_INVALID = 3
-_P1_KIND = np.full(256, _P1_INVALID, dtype=np.uint8)
-_P1_KIND[list(b" \t\n\v\f\r")] = 2
-_P1_KIND[ord("0")], _P1_KIND[ord("1")] = 0, 1
-_P1_CHUNK = 1 << 16  # body bytes classified at a time
+_P1_SPACE = b" \t\n\v\f\r"  # deleted from each chunk of a P1 body
+_P1_CHUNK = 1 << 16  # body bytes read at a time
 
 
 class PbmError(ValueError):
@@ -85,27 +80,27 @@ def _skip(data: bytes, pos: int) -> int:
 def _parse_p1(data: bytes, pos: int, width: int, height: int) -> BinaryImage:
     """The P1 body from ``pos``: comments only before the first sample.
 
-    Classified a chunk at a time, so temporaries stay small beside the
-    image and chunks after the last needed sample are never read. Each
-    chunk is a copy: no array keeps a view of ``data``, which a mapped
-    file needs in order to close.
+    Read a chunk at a time, so temporaries stay small beside the image
+    and chunks after the last needed sample are never read. A chunk's
+    whitespace is deleted by ``bytes.translate``; what is left is
+    samples, of which the first still needed are checked and stored.
+    Each chunk is a copy: no array keeps a view of ``data``, which a
+    mapped file needs in order to close.
     """
     need = width * height
     bits = np.empty(need, dtype=np.uint8)
     count = 0
     for start in range(_skip(data, pos), len(data), _P1_CHUNK):
-        body = np.frombuffer(data[start:start + _P1_CHUNK], dtype=np.uint8)
-        kind = _P1_KIND[body]
-        invalid = kind == _P1_INVALID
-        bad = int(invalid.argmax()) if invalid.any() else kind.size
-        head = kind[:bad]
-        samples = head[head < 2][:need - count]
-        bits[count:count + samples.size] = samples
-        count += samples.size
+        chunk = data[start:start + _P1_CHUNK].translate(None, _P1_SPACE)
+        body = np.frombuffer(chunk, dtype=np.uint8)[:need - count]
+        got = bits[count:count + body.size]
+        np.subtract(body, ord("0"), out=got)  # wraps: any other byte is > 1
+        if got.max(initial=0) > 1:
+            bad = body[np.argmax(got > 1)]
+            raise PbmError(f"invalid P1 sample byte {bad:#x}")
+        count += body.size
         if count == need:
             return BinaryImage(width, height, bits)
-        if bad < kind.size:
-            raise PbmError(f"invalid P1 sample byte {body[bad]:#x}")
     raise PbmError("truncated P1 payload")
 
 

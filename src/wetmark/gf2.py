@@ -15,8 +15,12 @@ _BITS = (1 << np.arange(8, dtype=np.uint16))[:, None]
 
 
 def mat_vec_words(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-parity products for word-packed rows; returns uint8 bits."""
-    counts = np.bitwise_count(rows & x).sum(axis=1)
+    """Row-parity products for word-packed rows; returns uint8 bits.
+
+    Stacked rows and vectors broadcast: rows (g, r, w) with x (g, 1, w)
+    give each of g vectors its own r products.
+    """
+    counts = np.bitwise_count(rows & x).sum(axis=-1)
     return (counts & 1).astype(np.uint8)
 
 

@@ -128,10 +128,7 @@ def embed(img: BinaryImage, key: StegoKey,
 def extract(img: BinaryImage, key: StegoKey) -> np.ndarray:
     """Blindly extract the embedded bit sequence using only the key."""
     _, idx = _shuffle(img, key)
-    words = wpc.pack_bits(img.bits[idx])
-    chunks = [wpc.extract_area(words[a], AreaCodec(key, a))
-              for a in range(len(idx))]
-    return np.concatenate(chunks)
+    return wpc.extract_areas(wpc.pack_bits(img.bits[idx]), AreaCodec(key))
 
 
 def capacity(img: BinaryImage, key: StegoKey) -> EmbedReport:

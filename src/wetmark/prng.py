@@ -17,6 +17,8 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
+MIX1 = 0xBF58476D1CE4E5B9  # SplitMix64 output multipliers
+MIX2 = 0x94D049BB133111EB
 
 TAG_PERM = 0x5045524D5045524D  # shuffle stream
 TAG_MATR = 0x4D4154524D415452  # matrix streams, one per area
@@ -54,8 +56,8 @@ def fnv1a64(data: bytes) -> int:
 def mix64(x: int) -> int:
     """SplitMix64 output mixing of a 64-bit word."""
     z = x & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return (z ^ (z >> 31)) & MASK64
 
 
@@ -64,20 +66,22 @@ def derive_seed(key: StegoKey, tag: int, area: int = 0) -> int:
     return mix64(key.digest ^ tag ^ ((area * GAMMA) & MASK64))
 
 
-def stream_words(seed: int, count: int, offset: int = 0) -> np.ndarray:
+def stream_words(seed: int | np.ndarray, count: int,
+                 offset: int = 0) -> np.ndarray:
     """Words ``offset .. offset+count-1`` of the stream, vectorized.
 
     Word i equals mix64(seed + (i+1)*GAMMA), the (i+1)-th output of a
-    sequential SplitMix64 stream started at ``seed``.
+    sequential SplitMix64 stream started at ``seed``. An array of seeds
+    gives one stream per seed, along a new last axis.
     """
-    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    steps = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):  # in place: one temporary at a time
-        z *= np.uint64(GAMMA)
-        z += np.uint64(seed)
+        steps *= np.uint64(GAMMA)
+        z = np.add.outer(np.asarray(seed, dtype=np.uint64), steps)
         z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z *= np.uint64(MIX1)
         z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
+        z *= np.uint64(MIX2)
         z ^= z >> np.uint64(31)
     return z
 
@@ -96,8 +100,10 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     That entry is in turn what the last swap before s that drew i_s moved
     there, or i_s itself if there is none. These links form a forest
     whose depth grows like log n (Shun et al., SODA 2015), so pointer
-    jumping resolves all of it in a few whole-array passes, and the
-    result equals the sequential shuffle exactly.
+    jumping resolves all of it in a few passes, and the result equals the
+    sequential shuffle exactly. Each pass visits only the swaps whose
+    link is not yet a root: half the swaps before the first pass, an
+    eighth after it.
     """
     if not 1 <= n_total <= 1 << 32:
         raise ValueError("n_total must be in 1 .. 2**32")
@@ -121,19 +127,35 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     # link[t]: the last swap before t that drew i_t = n-1-t, or t itself
     # (a root) if there is none. A swap with j_t = i_t links to itself too,
     # wrongly, but it is the last to draw i_t, so no entry it holds is read.
+    # The swaps with a link are the open ones, those not yet known to
+    # point at a root; a root never changes, so only they need jumping.
     link = np.arange(n, dtype=np.uint32)
     by_position = link[::-1]
+    open_ = np.empty(np.count_nonzero(first[1:]), dtype=np.uint32)
+    size = 0
     for s, e in chunks:
-        end = first[s + 1:e + 1]
-        by_position[drawn[s:e][end]] = swap[s:e][end]
-    root, spare = link, np.empty_like(link)
-    while True:
-        for s, e in chunks:
-            spare[s:e] = root[root[s:e]]
-        if np.array_equal(spare, root):
-            break
-        root, spare = spare, root
-    del link, by_position, spare
+        end = np.flatnonzero(first[s + 1:e + 1]) + s  # sorted run ends
+        position, last = drawn[end], swap[end]
+        by_position[position] = last
+        t = np.subtract(n - 1, position, out=position)
+        t = t[t != last]
+        open_[size:size + t.size] = t
+        size += t.size
+    # Pointer jumping over the open swaps, in place: a swap's link only
+    # ever moves to an earlier swap on its way to the root, and it leaves
+    # the open set once it reaches it.
+    while size:
+        kept = 0
+        for s in range(0, size, _CHUNK):
+            t = open_[s:min(size, s + _CHUNK)]
+            up = link[link[t]]
+            link[t] = up
+            t = t[link[up] != up]
+            open_[kept:kept + t.size] = t
+            kept += t.size
+        size = kept
+    root = link
+    del by_position, open_, end, position, last, t  # freed before perm
     held = np.subtract(n - 1, root, out=root)  # entry at i_t before swap t
     perm = np.empty(n, dtype=np.uint32)
     for s, e in chunks:
@@ -144,6 +166,22 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     return perm
 
 
+def _matrix(seed, rows: int, cols: int, first_row: int) -> np.ndarray:
+    """``matrix_words`` of the stream at ``seed``, or of each of an array
+    of seeds along a new first axis."""
+    if cols < 1:
+        raise ValueError("cols must be >= 1")
+    if rows < 0:
+        raise ValueError("rows must be >= 0")
+    wpr = (cols + 63) // 64
+    words = stream_words(seed, rows * wpr, offset=first_row * wpr)
+    words = words.reshape(words.shape[:-1] + (rows, wpr))
+    tail = cols % 64
+    if tail and rows:
+        words[..., -1] &= np.uint64((1 << tail) - 1)
+    return words
+
+
 def matrix_words(key: StegoKey, area: int, rows: int, cols: int,
                  first_row: int = 0) -> np.ndarray:
     """Packed words of rows ``first_row .. first_row+rows-1`` of this area's matrix.
@@ -152,16 +190,13 @@ def matrix_words(key: StegoKey, area: int, rows: int, cols: int,
     is bit (j mod 64) of word j//64. Surplus bits of the last word are
     cleared so packed rows compare equal regardless of how they were cut.
     """
-    if cols < 1:
-        raise ValueError("cols must be >= 1")
-    if rows < 0:
-        raise ValueError("rows must be >= 0")
-    wpr = (cols + 63) // 64
-    seed = derive_seed(key, TAG_MATR, area)
-    words = stream_words(seed, rows * wpr, offset=first_row * wpr)
-    words = words.reshape(rows, wpr)
-    tail = cols % 64
-    if tail and rows:
-        words[:, -1] &= np.uint64((1 << tail) - 1)
-    return words
+    return _matrix(derive_seed(key, TAG_MATR, area), rows, cols, first_row)
 
+
+def leading_rows(key: StegoKey, areas: list[int], rows: int,
+                 cols: int) -> np.ndarray:
+    """The first ``rows`` rows of every area's matrix, from one keystream
+    call: ``leading_rows(key, areas, r, c)[i]`` equals
+    ``matrix_words(key, areas[i], r, c)``."""
+    seeds = [derive_seed(key, TAG_MATR, int(area)) for area in areas]
+    return _matrix(np.array(seeds, dtype=np.uint64), rows, cols, 0)

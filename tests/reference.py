@@ -35,6 +35,19 @@ def matrix_rows(key: StegoKey, area: int, rows: int, cols: int) -> list[int]:
     return [int.from_bytes(words[r].tobytes(), "little") for r in range(rows)]
 
 
+def oracle_extract_area(received: int, key: StegoKey, area: int,
+                        n: int) -> list[int]:
+    """One area's payload bits, read from Python-int rows one at a time:
+    the header's parities, most significant first, give the length q,
+    then rows hb .. hb+q-1 give the payload."""
+    hb = (n - 1).bit_length()
+    q = 0
+    for row in matrix_rows(key, area, hb, n):
+        q = (q << 1) | ((row & received).bit_count() & 1)
+    return [(row & received).bit_count() & 1
+            for row in matrix_rows(key, area, hb + q, n)[hb:]]
+
+
 def _tokens(data: bytes):
     """Yield whitespace-separated header tokens, skipping # comments."""
     pos = 0

@@ -215,6 +215,65 @@ def test_parse_fuzz_against_oracle(data):
             assert _outcome(parse_pbm, data) == got
 
 
+_C = bitmap._P1_CHUNK  # the real chunk size; the tests below do not patch it
+
+
+def _p1_samples(count: int, sep: bytes = b"") -> bytes:
+    """``count`` samples 0, 1, 0, 0, 1, 0, ... joined by ``sep``."""
+    return sep.join(b"1" if i % 3 == 1 else b"0" for i in range(count))
+
+
+def _p1_with(width, height, body: bytes) -> bytes:
+    return b"P1\n%d %d\n" % (width, height) + body
+
+
+def _spaced_body_with(offset: int, byte: bytes) -> bytes:
+    """Samples and whitespace of a 256x300 image, two bytes a sample,
+    with one byte at ``offset`` from the first sample replaced."""
+    body = bytearray(_p1_samples(256 * 300, b" "))
+    body[offset:offset + 1] = byte
+    return bytes(body)
+
+
+@pytest.mark.parametrize("data, expected", [
+    # an invalid byte as the last and as the first byte of a chunk
+    (_p1_with(256, 300, _spaced_body_with(_C - 1, b"x")),
+     "invalid P1 sample byte 0x78"),
+    (_p1_with(256, 300, _spaced_body_with(_C, b"\xff")),
+     "invalid P1 sample byte 0xff"),
+    (_p1_with(256, 300, _spaced_body_with(2 * _C - 1, b"2")),
+     "invalid P1 sample byte 0x32"),
+    (_p1_with(256, 300, _spaced_body_with(2 * _C, b"#")),
+     "invalid P1 sample byte 0x23"),
+    (_p1_with(256, 300, _p1_samples(_C) + b"x" + _p1_samples(256 * 300)),
+     "invalid P1 sample byte 0x78"),
+    # a chunk of nothing but whitespace between two samples
+    (_p1_with(256, 300, _p1_samples(_C) + b" \t\n\v\f\r" * (_C // 6)
+              + b" " * (_C % 6) + _p1_samples(256 * 300 - _C)), None),
+    # junk after the last needed sample, in its chunk and in the next one
+    (_p1_with(256, 300, _p1_samples(256 * 300) + b"x#\xff 2"), None),
+    (_p1_with(256, 256, _p1_samples(_C) + b"#junk\xff"), None),
+    (_p1_with(256, 256, _p1_samples(_C - 1, b"\n") + b"\n" * _C + b"1x"),
+     None),
+    # too few samples once a whole chunk of whitespace is deleted
+    (_p1_with(256, 256, _p1_samples(_C - 1) + b"\n" * _C),
+     "truncated P1 payload"),
+    # comments are allowed before the first sample only
+    (b"P1\n2 2\n# c\n1 # c\n0 1 0", "invalid P1 sample byte 0x23"),
+], ids=["x-last-of-chunk", "ff-first-of-chunk", "2-last-of-chunk-2",
+        "hash-first-of-chunk-3", "x-first-of-chunk-unspaced",
+        "whitespace-chunk", "junk-same-chunk", "junk-next-chunk",
+        "junk-after-whitespace-chunk", "truncated-after-whitespace-chunk",
+        "hash-after-first-sample"])
+def test_p1_chunk_edges_against_oracle(data, expected):
+    got = _outcome(parse_pbm, data)
+    assert got == _outcome(oracle_parse_pbm, data)
+    if expected is None:
+        assert isinstance(got, tuple)
+    else:
+        assert got == expected
+
+
 def test_flip_pixel_involution():
     img = BinaryImage(2, 2, np.array([1, 0, 0, 1], dtype=np.uint8))
     flipped = flip_pixel(img, 0)

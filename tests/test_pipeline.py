@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import wetmark as wm
-from wetmark import flippability, prng
+from wetmark import flippability, prng, wpc
 from wetmark.bitmap import BinaryImage
 from wetmark.pipeline import ImageTooSmallError, MessageTooLongError, plan
 from wetmark.prng import StegoKey
-from wetmark.wpc import AREA_SIZE, HeaderCapacityError
+from wetmark.wpc import AREA_SIZE, AreaCodec, HeaderCapacityError
 
 from conftest import synth_image
+from reference import oracle_extract_area, words_to_int
 
 KEY = StegoKey(b"pipeline-key")
 
@@ -218,3 +219,36 @@ def test_extract_too_small():
     img = synth_image(32, 32, 12)
     with pytest.raises(ImageTooSmallError):
         wm.extract(img, KEY)
+
+
+@pytest.mark.parametrize("group_areas", [None, 3])
+def test_extract_matches_area_by_area_decoding(monkeypatch, rng, group_areas):
+    """``extract`` reads the headers a group of areas at a time. Its bits
+    are the per-area decoders' in order, on a stego image at capacity, on
+    a cover that was never embedded and under a wrong key; in the last
+    two the headers announce arbitrary lengths up to 4095."""
+    hb_words = 12 * (AREA_SIZE // 64)  # header stream words of one area
+    if group_areas is not None:
+        monkeypatch.setattr(wpc, "HEADER_GROUP_WORDS", group_areas * hb_words)
+    img = synth_image(420, 420, 21)
+    n_areas = img.bits.size // AREA_SIZE
+    assert n_areas == 43 and n_areas % (wpc.HEADER_GROUP_WORDS // hb_words)
+    message = rng.integers(0, 2, wm.capacity(img, KEY).n_embedded,
+                           dtype=np.uint8)
+    stego, _ = wm.embed(img, KEY, message)
+    for image, key, marked in [(stego, KEY, True), (img, KEY, False),
+                               (stego, StegoKey(b"wrong"), False)]:
+        got = wm.extract(image, key)
+        perm = prng.permutation(key, image.bits.size)
+        words = wpc.pack_bits(
+            image.bits[perm[:n_areas * AREA_SIZE].reshape(n_areas, -1)])
+        per_area = [wpc.extract_area(words[a], AreaCodec(key, a))
+                    for a in range(n_areas)]
+        assert np.array_equal(got, np.concatenate(per_area))
+        oracle = [oracle_extract_area(words_to_int(w), key, a, AREA_SIZE)
+                  for a, w in enumerate(words)]
+        assert got.tolist() == [b for bits in oracle for b in bits]
+        if marked:
+            assert np.array_equal(got, message)
+        else:
+            assert max(map(len, oracle)) > 3500

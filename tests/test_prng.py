@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wetmark import prng
 from wetmark.prng import (
+    _CHUNK,
     TAG_MATR,
     TAG_PERM,
     StegoKey,
@@ -144,6 +145,33 @@ def test_permutation_matches_fisher_yates_with_long_chains(n):
     # sizes, and 16385, where the no-op last swap is alone in its chunk.
     key = StegoKey(b"fixed-key")
     assert permutation(key, n).tolist() == oracle_fisher_yates(b"fixed-key", n)
+
+
+@given(st.binary(min_size=1, max_size=16),
+       st.sampled_from([m * _CHUNK + d for m in (1, 2) for d in (-1, 0, 1)]))
+@settings(max_examples=12, deadline=None)
+def test_permutation_matches_fisher_yates_at_chunk_edges(key_bytes, n):
+    # The run ends, the open set and its passes are all cut into chunks.
+    assert permutation(StegoKey(key_bytes), n).tolist() == \
+        oracle_fisher_yates(key_bytes, n)
+
+
+_FEW_KEYS = [b"a", b"b", b"c", b"d", b"e", b"f"]
+
+
+@pytest.mark.parametrize("key_bytes", _FEW_KEYS)
+def test_permutation_without_links(key_bytes):
+    # At n = 1 and 2 no swap links to an earlier one: the last swap to
+    # draw a position is always the one that makes it final.
+    for n in (1, 2):
+        assert permutation(StegoKey(key_bytes), n).tolist() == \
+            oracle_fisher_yates(key_bytes, n)
+
+
+def test_permutation_without_links_covers_both_draws():
+    # Among those keys, the first swap at n = 2 draws either position.
+    assert {tuple(oracle_fisher_yates(k, 2)) for k in _FEW_KEYS} == \
+        {(0, 1), (1, 0)}
 
 
 def test_permutation_is_uint32_in_bounded_memory():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wetmark import gf2
+from wetmark import gf2, wpc
 from wetmark.prng import StegoKey
 from wetmark.wpc import (
     AreaCodec,
@@ -9,11 +9,18 @@ from wetmark.wpc import (
     HeaderCapacityError,
     embed_area,
     extract_area,
+    extract_areas,
     pack_bits,
     unpack_bits,
 )
 
-from reference import bits_to_int, mat_vec, matrix_rows
+from reference import (
+    bits_to_int,
+    mat_vec,
+    matrix_rows,
+    oracle_extract_area,
+    words_to_int,
+)
 
 
 def toy_codec(key=b"toy", area=0, n=16):
@@ -261,3 +268,22 @@ def test_embed_area_rejects_non_bit_messages(monkeypatch, message):
     with pytest.raises(ValueError,
                        match="^message must be a 1-D array of 0/1 bits$"):
         embed_area(pack_bits(cover), mask, toy_codec(), message)
+
+
+@pytest.mark.parametrize("n", [16, 100, 200])
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_extract_areas_is_area_by_area(monkeypatch, rng, n, count):
+    """Grouped header reads, here two areas a group, from a first area
+    other than 0: each area decodes as it would alone."""
+    hb = (n - 1).bit_length()
+    monkeypatch.setattr(wpc, "HEADER_GROUP_WORDS", 2 * hb * ((n + 63) // 64))
+    codec = AreaCodec(StegoKey(b"areas"), 9, n=n)
+    words = pack_bits(rng.integers(0, 2, (count, n), dtype=np.uint8))
+    got = extract_areas(words, codec)
+    assert got.dtype == np.uint8
+    expected = [oracle_extract_area(words_to_int(w), codec.key, 9 + i, n)
+                for i, w in enumerate(words)]
+    assert got.tolist() == [b for bits in expected for b in bits]
+    alone = [extract_area(w, AreaCodec(codec.key, 9 + i, n))
+             for i, w in enumerate(words)]
+    assert got.tolist() == [b for bits in alone for b in bits.tolist()]
