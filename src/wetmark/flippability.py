@@ -79,30 +79,29 @@ def window_code(cells) -> int:
 
 @dataclass(frozen=True)
 class FlippabilityMask:
-    """The index set of flippable pixels for an image."""
+    """Which pixels of an image are flippable: one read-only boolean flag
+    per pixel, in raster order, as ``compute_mask`` writes it."""
 
     width: int
     height: int
-    indices: np.ndarray = field(repr=False)  # strictly increasing raster indices
+    flags: np.ndarray = field(repr=False)  # width*height bools, flat
 
-    def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+    @property
+    def indices(self) -> np.ndarray:
+        """Raster indices of the flippable pixels, strictly increasing."""
+        return np.flatnonzero(self.flags)
 
     def __len__(self):
-        return len(self.indices)
+        return int(np.count_nonzero(self.flags))
 
     def as_bool(self) -> np.ndarray:
         """Flat boolean membership array of length width*height."""
-        flags = np.zeros(self.width * self.height, dtype=bool)
-        flags[self.indices] = True
-        return flags
+        return self.flags.copy()
 
     def to_image(self) -> BinaryImage:
         """Render the mask as an image (flippable = black)."""
         return BinaryImage(self.width, self.height,
-                           self.as_bool().astype(np.uint8))
+                           self.flags.astype(np.uint8))
 
 
 def compute_mask(img: BinaryImage) -> FlippabilityMask:
@@ -114,12 +113,10 @@ def compute_mask(img: BinaryImage) -> FlippabilityMask:
         raise ValueError("image must be at least 3x3")
     g = img.grid()
     codes = np.zeros((img.height - 2, img.width - 2), dtype=np.int16)
-    bit = 0
-    for dr in range(3):
-        for dc in range(3):
-            codes |= g[dr:dr + img.height - 2, dc:dc + img.width - 2].astype(np.int16) << bit
-            bit += 1
-    hit = FLIP_TABLE[codes]
-    ys, xs = np.nonzero(hit)
-    indices = (ys + 1).astype(np.int64) * img.width + (xs + 1)
-    return FlippabilityMask(img.width, img.height, indices)
+    for bit in range(9):
+        dr, dc = divmod(bit, 3)
+        codes |= g[dr:dr + img.height - 2, dc:dc + img.width - 2].astype(np.int16) << bit
+    flags = np.zeros((img.height, img.width), dtype=bool)
+    flags[1:-1, 1:-1] = FLIP_TABLE[codes]
+    flags.setflags(write=False)
+    return FlippabilityMask(img.width, img.height, flags.reshape(-1))

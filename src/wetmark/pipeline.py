@@ -95,9 +95,8 @@ def _plan_areas(img: BinaryImage, key: StegoKey, n_bits: int):
     """Each area's pixel indices (one row each), the leftover pixel count
     and the ``wpc.AreaPlan`` of ``n_bits`` over the areas."""
     perm, idx = _shuffle(img, key)
-    flippable = flippability.compute_mask(img).as_bool()[idx]
     areas = wpc.AreaPlan(AreaCodec(key), wpc.pack_bits(img.bits[idx]),
-                         [np.flatnonzero(row) for row in flippable], n_bits)
+                         flippability.compute_mask(img).flags[idx], n_bits)
     return idx, perm.size - idx.size, areas
 
 
@@ -119,10 +118,9 @@ def embed(img: BinaryImage, key: StegoKey,
             f"capacity exhausted after {embedded} of {len(message)} bits")
     flips = areas.embed(message)
     out_bits = img.bits.copy()
-    for pixels, at in zip(idx, flips):
-        out_bits[pixels[at]] ^= 1
+    out_bits[idx[flips]] ^= 1
     return (BinaryImage(img.width, img.height, out_bits),
-            _report(areas, leftover, [len(at) for at in flips]))
+            _report(areas, leftover, flips.sum(axis=1).tolist()))
 
 
 def extract(img: BinaryImage, key: StegoKey) -> np.ndarray:

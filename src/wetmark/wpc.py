@@ -73,21 +73,22 @@ def message_bits(message) -> np.ndarray:
     return bits.astype(np.uint8, copy=False)
 
 
-def restrict_columns(rows_words: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Rows of D restricted to the given columns, re-packed as words."""
+def restrict_columns(rows_words: np.ndarray, flippable: np.ndarray) -> np.ndarray:
+    """Rows of D restricted to the columns ``flippable`` marks, re-packed."""
     row_bytes = np.ascontiguousarray(rows_words).view(np.uint8)
-    bits = (row_bytes[:, cols >> 3] >> (cols & 7).astype(np.uint8)) & 1
-    return pack_bits(bits)
+    bits = np.unpackbits(row_bytes, axis=1, bitorder="little")
+    return pack_bits(np.compress(flippable, bits, axis=1))
 
 
 class AreaPlan:
     """``n_bits`` of message spread greedily over the areas, in order.
 
+    Row i of ``flippable`` marks the k[i] flippable pixels of area i.
     Area i can carry up to ``prefix - hb`` payload bits, where prefix is
     the longest run of independent leading rows of its keyed matrix
-    restricted to its flippable columns, and it carries ``q_p[i]`` of
-    them. Rows 0..hb+q-1 are independent exactly when hb+q <= prefix, so
-    ``embed`` solves a leading block of the rows eliminated here.
+    restricted to those columns, and it carries ``q_p[i]`` of them. Rows
+    0..hb+q-1 are independent exactly when hb+q <= prefix, so ``embed``
+    solves a leading block of the rows eliminated here.
 
     The areas are eliminated in ``batches`` of consecutive areas, each as
     one stack. A batch takes as many areas as would hold the bits still
@@ -102,10 +103,10 @@ class AreaPlan:
     take the area indices after it.
     """
 
-    def __init__(self, codec: AreaCodec, covers, flippables, n_bits: int):
+    def __init__(self, codec: AreaCodec, covers, flippable, n_bits: int):
         self.codec = codec
-        self.flippables = [np.asarray(f, dtype=np.int64) for f in flippables]
-        self.k = np.array([len(f) for f in self.flippables], dtype=np.int64)
+        self.flippable = np.asarray(flippable, dtype=bool)
+        self.k = self.flippable.sum(axis=1)
         self.area_index = codec.area_index + np.arange(len(self.k))
         self.q_p = np.zeros(len(self.k), dtype=np.int64)
         self.batches = []  # (areas slice, row starts, syndrome, Echelon)
@@ -132,11 +133,11 @@ class AreaPlan:
         h_rows = np.zeros((int(rows.sum()), words), dtype=np.uint64)
         syndrome = np.zeros(len(h_rows), dtype=np.uint8)
         key, n = self.codec.key, self.codec.n
-        for area, cover, cols, at, q in zip(self.area_index[part].tolist(),
-                                            covers, self.flippables[part],
-                                            starts, rows.tolist()):
+        for area, cover, wet, at, q in zip(self.area_index[part].tolist(),
+                                           covers, self.flippable[part],
+                                           starts, rows.tolist()):
             d_words = prng.matrix_words(key, area, q, n)
-            restricted = restrict_columns(d_words, cols)
+            restricted = restrict_columns(d_words, wet)
             h_rows[at:at + q, :restricted.shape[1]] = restricted
             syndrome[at:at + q] = gf2.mat_vec_words(d_words, cover)
         echelon = gf2.max_independent_prefix_words(h_rows, rows)
@@ -145,30 +146,33 @@ class AreaPlan:
             raise HeaderCapacityError(
                 f"area {self.area_index[part][i]}: only {prefix[i]} "
                 f"independent rows over {self.k[part][i]} flippable pixels, "
-                f"need {hb} for the header")
+                f"need {hb} for the header; {np.sum(prefix < hb)} of the "
+                f"{part.stop} areas eliminated so far lack room for it")
         self.batches.append((part, starts, syndrome, echelon))
         return prefix - hb
 
-    def embed(self, message: np.ndarray) -> list[np.ndarray]:
-        """Flippable positions to flip in every area, so that area i
-        carries the next q_p[i] bits of ``message`` behind its header."""
-        ends = np.cumsum(self.q_p)
-        flips = []
+    def embed(self, message: np.ndarray) -> np.ndarray:
+        """Which pixels to flip in every area, one boolean row each, laid
+        out like ``flippable``, so that area i carries the next q_p[i]
+        bits of ``message`` behind its header."""
+        hb, sent = self.codec.header_bits, 0
+        flips = np.zeros_like(self.flippable)
         for part, starts, syndrome, echelon in self.batches:
-            rhs = syndrome.copy()
-            hb, q_p = self.codec.header_bits, self.q_p[part]
-            for at, q, end in zip(starts, q_p.tolist(), ends[part]):
-                header = (q >> np.arange(hb - 1, -1, -1)) & 1  # big-endian
-                rhs[at:at + hb] ^= header.astype(np.uint8)
-                rhs[at + hb:at + hb + q] ^= message[end - q:end]
+            q_p, rhs = self.q_p[part], syndrome.copy()
+            header = (q_p[:, None] >> np.arange(hb - 1, -1, -1)) & 1  # big-endian
+            rhs[starts[:, None] + np.arange(hb)] ^= header.astype(np.uint8)
+            # payload bit j of area i goes to row starts[i] + hb + j
+            at = np.repeat(starts + hb - np.cumsum(q_p) + q_p, q_p)
+            rhs[at + np.arange(len(at))] ^= message[sent:sent + len(at)]
+            sent += len(at)
             v, consistent = echelon.solve(rhs, hb + q_p)
             if not consistent.all():
                 bad = self.area_index[part][np.argmin(consistent)]
                 raise RuntimeError(f"area {bad}: independent rows "
                                    "gave an inconsistent system")
             v_bits = np.unpackbits(v.view(np.uint8), axis=1, bitorder="little")
-            flips += [cols[v_bits[i, :len(cols)] == 1]
-                      for i, cols in enumerate(self.flippables[part])]
+            inside = np.arange(v_bits.shape[1]) < self.k[part][:, None]
+            flips[part][self.flippable[part]] = v_bits[inside]
         return flips
 
 
@@ -182,14 +186,12 @@ def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
     bit sequence.
     """
     message = message_bits(message)
-    area = AreaPlan(codec, [cover_words], [flippable], len(message))
-    flip_at = area.embed(message)[0]
-    delta = np.zeros(codec.n, dtype=np.uint8)
-    delta[flip_at] = 1
-    modified = cover_words ^ pack_bits(delta)
-    q_p = int(area.q_p[0])
-    return AreaEmbedResult(modified, q_p, codec.header_bits + q_p,
-                           len(flip_at)), q_p
+    wet = np.zeros((1, codec.n), dtype=bool)
+    wet[0, flippable] = True
+    area = AreaPlan(codec, [cover_words], wet, len(message))
+    flips, q_p = area.embed(message)[0], int(area.q_p[0])
+    return AreaEmbedResult(cover_words ^ pack_bits(flips), q_p,
+                           codec.header_bits + q_p, int(flips.sum())), q_p
 
 
 def extract_areas(received_words: np.ndarray, codec: AreaCodec) -> np.ndarray:

@@ -3,13 +3,17 @@
 They are the plain loops the library replaced with whole-array code, kept
 as oracles: the tests require the library to agree with them.
 ``ColumnEchelon`` is the column-at-a-time elimination that ``gf2.Echelon``
-replaced with blocks of 8 columns. The GF(2) helpers at the end hold rows
-as Python ints (bit j of a row int = column j); ``solve`` and
-``max_independent_prefix`` among them are not oracles but thin adapters
-that run the library's word engine on such rows.
+replaced with blocks of 8 columns. ``component_counts`` counts the
+8-connected components of a whole image for the topology tests. The
+GF(2) helpers at the end hold rows as Python ints (bit j of a row int =
+column j); ``solve`` and ``max_independent_prefix`` among them are not
+oracles but thin adapters that run the library's word engine on such
+rows.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -149,6 +153,33 @@ def oracle_serialize_p1(img: BinaryImage) -> bytes:
         row = img.grid()[y]
         lines.append(" ".join(str(int(b)) for b in row).encode())
     return b"\n".join(lines) + b"\n"
+
+
+# --- topology of a whole image ----------------------------------------------
+
+def component_counts(grid) -> tuple[int, int]:
+    """Numbers of 8-connected components of black (1) and of white (0)
+    pixels over the whole image, by breadth-first search."""
+    cells = np.asarray(grid).tolist()
+    height, width = len(cells), len(cells[0])
+    seen = [[False] * width for _ in range(height)]
+    counts = [0, 0]
+    for y in range(height):
+        for x in range(width):
+            if seen[y][x]:
+                continue
+            color = cells[y][x]
+            counts[color] += 1
+            seen[y][x] = True
+            queue = deque([(y, x)])
+            while queue:
+                cy, cx = queue.popleft()
+                for ny in range(max(0, cy - 1), min(height, cy + 2)):
+                    for nx in range(max(0, cx - 1), min(width, cx + 2)):
+                        if not seen[ny][nx] and cells[ny][nx] == color:
+                            seen[ny][nx] = True
+                            queue.append((ny, nx))
+    return counts[1], counts[0]
 
 
 # --- GF(2) elimination one column at a time --------------------------------

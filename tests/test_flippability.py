@@ -4,6 +4,9 @@ import pytest
 from wetmark.bitmap import BinaryImage
 from wetmark.flippability import compute_mask, is_flippable, window_code
 
+from conftest import synth_image
+from reference import component_counts
+
 # --- independent oracle: BFS flood fill over the 3x3 grid -----------------
 
 
@@ -165,3 +168,39 @@ def test_mask_to_image_roundtrip():
     rendered = mask.to_image()
     assert rendered.bits.sum() == len(mask)
     assert np.nonzero(rendered.bits)[0].tolist() == mask.indices.tolist()
+
+
+def test_component_counts_on_known_images():
+    ring = np.zeros((5, 5), dtype=np.uint8)
+    ring[1:4, 1:4] = 1
+    ring[2, 2] = 0
+    assert component_counts(ring) == (1, 2)  # the hole is its own component
+    two = np.zeros((4, 7), dtype=np.uint8)
+    two[1:3, 1], two[1:3, 4:6] = 1, 1
+    assert component_counts(two) == (2, 1)
+    # diagonal neighbours connect, in both colours
+    assert component_counts(np.eye(4, dtype=np.uint8)) == (1, 1)
+    assert component_counts(np.zeros((3, 3), dtype=np.uint8)) == (0, 1)
+
+
+@pytest.mark.parametrize("cover", ["text", "random"])
+def test_one_flippable_flip_keeps_both_component_counts(cover):
+    """Each flippable pixel, flipped alone, leaves the numbers of black
+    and of white 8-connected components of the whole image unchanged.
+    (The flips of one embed, made together, need not: see README.)"""
+    rng = np.random.default_rng(31)
+    img = (synth_image(48, 40, 31, stroke_density=60) if cover == "text" else
+           BinaryImage(48, 40, rng.integers(0, 2, 48 * 40, dtype=np.uint8)))
+    base = component_counts(img.grid())
+    for i in rng.choice(compute_mask(img).indices, 40, replace=False):
+        bits = img.bits.copy()
+        bits[i] ^= 1
+        assert component_counts(bits.reshape(40, 48)) == base
+    # Flips no two of which are 8-adjacent lie outside each other's
+    # windows, so each stays a lone flip: here every flippable pixel on
+    # the even rows and even columns, all flipped together.
+    grid = img.grid() ^ compute_mask(img).flags.reshape(40, 48)
+    grid[1::2] = img.grid()[1::2]
+    grid[:, 1::2] = img.grid()[:, 1::2]
+    assert (grid != img.grid()).sum() > 10
+    assert component_counts(grid) == base

@@ -237,6 +237,17 @@ def test_matrix_rows_match_word_oracle():
     assert matrix_rows(key, area, q, n) == expected
 
 
+def test_leading_rows_equal_each_areas_matrix():
+    """Row i of the grouped keystream call is area i's own matrix, for
+    areas out of order and apart, area 0 among them."""
+    key = StegoKey(b"leading")
+    areas = [7, 0, 3, 12]
+    got = prng.leading_rows(key, areas, 5, 70)
+    assert got.shape == (4, 5, 2)
+    for rows, area in zip(got, areas):
+        assert np.array_equal(rows, matrix_words(key, area, 5, 70))
+
+
 def test_matrix_words_surplus_bits_cleared():
     w = matrix_words(StegoKey(b"k"), 0, 3, 70)
     assert w.shape == (3, 2)

@@ -11,6 +11,7 @@ from wetmark.wpc import (
     extract_area,
     extract_areas,
     pack_bits,
+    restrict_columns,
     unpack_bits,
 )
 
@@ -19,6 +20,7 @@ from reference import (
     mat_vec,
     matrix_rows,
     oracle_extract_area,
+    rows_to_words,
     words_to_int,
 )
 
@@ -187,6 +189,22 @@ def test_pack_unpack_roundtrip():
         assert unpack_bits(pack_bits(bits), n).tolist() == bits.tolist()
 
 
+@pytest.mark.parametrize("n", [16, 70, 100, 4096])
+def test_restrict_columns_matches_per_bit_reference(rng, n):
+    """Restricted row i holds, in order, the bits of row i at the columns
+    the boolean row marks: none, some or all of them."""
+    rows = matrix_rows(StegoKey(b"restrict"), 3, 12, n)
+    for k in (0, 1, n // 3, n - 1, n):
+        flippable = np.zeros(n, dtype=bool)
+        flippable[rng.choice(n, k, replace=False)] = True
+        got = restrict_columns(rows_to_words(rows, n), flippable)
+        assert got.shape == (12, (k + 63) // 64) and got.flags.c_contiguous
+        cols = np.flatnonzero(flippable).tolist()
+        assert [words_to_int(w) for w in got] == [
+            sum(((row >> c) & 1) << j for j, c in enumerate(cols))
+            for row in rows]
+
+
 def test_area_codec_validation():
     with pytest.raises(ValueError):
         AreaCodec(StegoKey(b"k"), 0, n=1)
@@ -203,6 +221,14 @@ def _toy_areas(rng, ks):
     return codecs, covers, masks
 
 
+def _flippable(masks, n=16):
+    """The boolean rows ``AreaPlan`` takes, from within-area positions."""
+    rows = np.zeros((len(masks), n), dtype=bool)
+    for row, mask in zip(rows, masks):
+        row[mask] = True
+    return rows
+
+
 def test_batched_areas_match_area_by_area():
     """Areas planned in batches embed exactly as they do one at a time."""
     rng = np.random.default_rng(21)
@@ -215,7 +241,7 @@ def test_batched_areas_match_area_by_area():
         pos += used
     assert pos == len(msg)
 
-    areas = AreaPlan(codecs[0], covers, masks, len(msg))
+    areas = AreaPlan(codecs[0], covers, _flippable(masks), len(msg))
     assert len(areas.batches) > 1  # payload areas, then header-only ones
     got = []
     for codec, q, flip_at in zip(codecs, areas.q_p.tolist(), areas.embed(msg)):
@@ -236,9 +262,24 @@ def test_batch_names_the_first_area_without_header_room():
         with pytest.raises(HeaderCapacityError):
             embed_area(covers[area], masks[area], codecs[area], msg)
     with pytest.raises(HeaderCapacityError, match="^area 2:"):
-        AreaPlan(codecs[0], covers, masks, sum(len(m) for m in masks))
+        AreaPlan(codecs[0], covers, _flippable(masks),
+                 sum(len(m) for m in masks))
     with pytest.raises(HeaderCapacityError, match="^area 4:"):
-        AreaPlan(codecs[3], covers[3:], masks[3:], len(msg))
+        AreaPlan(codecs[3], covers[3:], _flippable(masks[3:]), len(msg))
+
+
+def test_header_error_counts_the_areas_without_room():
+    """Areas 2 (k = 0) and 4 (k = 3 < 4 header bits) cannot hold a header;
+    the error counts those among the areas eliminated so far."""
+    rng = np.random.default_rng(22)
+    codecs, covers, masks = _toy_areas(rng, (10, 12, 0, 9, 3))
+    with pytest.raises(HeaderCapacityError, match=(
+            r"^area 2: .*; 2 of the 5 areas eliminated so far lack room")):
+        AreaPlan(codecs[0], covers, _flippable(masks), 34)  # one batch
+    # one bit to place: a first batch of areas 1 and 2, and area 4 unseen
+    with pytest.raises(HeaderCapacityError, match=(
+            r"^area 2: .*; 1 of the 2 areas eliminated so far lack room")):
+        AreaPlan(codecs[1], covers[1:], _flippable(masks[1:]), 1)
 
 
 def test_inconsistent_area_system_raises(monkeypatch):
