@@ -27,18 +27,19 @@ def mat_vec_words(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 class Echelon:
     """Stacked systems, eliminated once for any number of later solves.
 
-    System i is rows ``starts[i] .. starts[i]+sizes[i]-1`` of the word
-    matrix it was made from. The systems are stacked to one height,
-    padded with zero rows to the largest, in a (words, rows, systems)
-    array: the systems axis is innermost, so every vector operation runs
-    over all systems at once. They are reduced in lock step, column by
-    column. Step c takes column c in every system that still has it in a
-    remaining row: the first such row is the pivot, and it is added to
-    each remaining row with that column, itself included. Pivots thus
-    leave the stack as zero rows, and the rows left at the end are
-    exactly the dependent ones. A row only ever receives earlier rows,
-    which makes rows 0..q-1 of a system come out as they would on their
-    own, for every q. Free variables are 0.
+    The word matrix it is made from is ``count`` blocks of rows of one
+    height, stacked: block i holds system i's rows, then zero rows, which
+    never pivot, so each system comes out as it would without them. The
+    blocks are copied into a (words, rows, systems) array: the systems
+    axis is innermost, so every vector operation runs over all systems at
+    once. They are reduced in lock step, column by column. Step c takes
+    column c in every system that still has it in a remaining row: the
+    first such row is the pivot, and it is added to each remaining row
+    with that column, itself included. Pivots thus leave the stack as
+    zero rows, and the rows left at the end are exactly the dependent
+    ones. A row only ever receives earlier rows, which makes rows 0..q-1
+    of a system come out as they would on their own, for every q. Free
+    variables are 0.
 
     The steps run in blocks of 8 columns, one byte of a word, as in the
     Method of Four Russians (Albrecht, Bard and Hart, arXiv:0811.1714).
@@ -52,20 +53,14 @@ class Echelon:
     replays a block at once from the received sets it keeps.
     """
 
-    def __init__(self, rows: np.ndarray, sizes):
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        total, count = len(rows), len(self.sizes)
-        if self.sizes.sum() != total:
-            raise ValueError("sizes must add up to the row count")
+    def __init__(self, rows: np.ndarray, count: int):
+        rows = np.asarray(rows, dtype=np.uint64)
         words = self.words = rows.shape[1]
-        starts = np.cumsum(self.sizes) - self.sizes
-        # Where each given row sits in the padded stack.
-        self._system = np.repeat(np.arange(count), self.sizes)
-        self._local = np.arange(total) - np.repeat(starts, self.sizes)
-        height = self.height = int(self.sizes.max(initial=0))
-        h = np.zeros((words, height, count), dtype=np.uint64)
-        h[:, self._local, self._system] = rows.T
+        height = self.height = len(rows) // max(count, 1)
+        if count * height != len(rows):
+            raise ValueError("rows must be count blocks of equal height")
+        # a copy, C-ordered: the caller's rows are never eliminated in place
+        h = rows.reshape(count, height, words).transpose(2, 1, 0).copy()
         systems = np.arange(count)
         # One record per block in which some system pivots: (top, first
         # column, pivot rows and whether they pivot (8, systems), the
@@ -120,21 +115,20 @@ class Echelon:
     def solve(self, rhs_bits: np.ndarray, use) -> tuple[np.ndarray, np.ndarray]:
         """Solve the first use[i] rows of every system i.
 
-        ``rhs_bits`` holds one bit per row, laid out like the rows. Returns
-        the packed solutions (systems, words), free variables 0, and
-        whether each system's block was consistent.
+        ``rhs_bits`` holds one bit per row, in the rows' block layout.
+        Returns the packed solutions (systems, words), free variables 0,
+        and whether each system's leading rows were consistent.
         """
         rhs_bits = np.asarray(rhs_bits)
         # Checked before the cast, which would wrap 256 to 0.
         if not ((rhs_bits == 0) | (rhs_bits == 1)).all():
             raise ValueError("rhs must hold bits 0 or 1")
         use = np.asarray(use, dtype=np.int64)
-        if len(rhs_bits) != len(self._local):
+        count = len(self.prefix)
+        if rhs_bits.shape != (count * self.height,):
             raise ValueError("rhs length must equal row count")
-        count = len(self.sizes)
         systems = np.arange(count)
-        rhs = np.zeros((self.height, count), dtype=np.uint8)
-        rhs[self._local, self._system] = rhs_bits
+        rhs = rhs_bits.reshape(count, self.height).T.astype(np.uint8, order="C")
         # Bit j of a block's byte is the rhs of its pivot row j at the
         # block start. Every rhs gains the bits of its received set; a
         # pivot carries those of its own set, itself included.
@@ -165,16 +159,16 @@ class Echelon:
         return np.ascontiguousarray(v.T), consistent
 
 
-def max_independent_prefix_words(rows: np.ndarray, sizes) -> Echelon:
-    """Eliminate stacked systems once; system i is the next sizes[i] rows.
+def max_independent_prefix_words(rows: np.ndarray, count: int) -> Echelon:
+    """Eliminate ``count`` stacked blocks of rows once, one system each.
 
     ``.prefix[i]`` of the result is the largest p such that rows 0..p-1 of
     system i are linearly independent, and ``.solve`` reuses the work.
     """
-    return Echelon(rows, sizes)
+    return Echelon(rows, count)
 
 
 def solve_words(rows: np.ndarray, rhs_bits: np.ndarray) -> np.ndarray | None:
     """Solve over word-packed rows; returns packed solution words or None."""
-    v, consistent = Echelon(rows, [len(rows)]).solve(rhs_bits, [len(rows)])
+    v, consistent = Echelon(rows, 1).solve(rhs_bits, [len(rows)])
     return v[0] if consistent[0] else None

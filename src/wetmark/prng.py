@@ -166,37 +166,29 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     return perm
 
 
-def _matrix(seed, rows: int, cols: int, first_row: int) -> np.ndarray:
-    """``matrix_words`` of the stream at ``seed``, or of each of an array
-    of seeds along a new first axis."""
-    if cols < 1:
-        raise ValueError("cols must be >= 1")
-    if rows < 0:
-        raise ValueError("rows must be >= 0")
-    wpr = (cols + 63) // 64
-    words = stream_words(seed, rows * wpr, offset=first_row * wpr)
-    words = words.reshape(words.shape[:-1] + (rows, wpr))
-    tail = cols % 64
-    if tail and rows:
-        words[..., -1] &= np.uint64((1 << tail) - 1)
-    return words
-
-
 def matrix_words(key: StegoKey, area: int, rows: int, cols: int,
                  first_row: int = 0) -> np.ndarray:
-    """Packed words of rows ``first_row .. first_row+rows-1`` of this area's matrix.
+    """``leading_rows`` of one area, as one (rows, words) array."""
+    return leading_rows(key, [area], rows, cols, first_row)[0]
+
+
+def leading_rows(key: StegoKey, areas: list[int], rows: int, cols: int,
+                 first_row: int = 0) -> np.ndarray:
+    """Rows ``first_row .. first_row+rows-1`` of every area's matrix, one
+    (rows, words) block per area, from one keystream call.
 
     Each row consumes exactly ceil(cols/64) stream words; bit j of a row
     is bit (j mod 64) of word j//64. Surplus bits of the last word are
     cleared so packed rows compare equal regardless of how they were cut.
     """
-    return _matrix(derive_seed(key, TAG_MATR, area), rows, cols, first_row)
-
-
-def leading_rows(key: StegoKey, areas: list[int], rows: int,
-                 cols: int) -> np.ndarray:
-    """The first ``rows`` rows of every area's matrix, from one keystream
-    call: ``leading_rows(key, areas, r, c)[i]`` equals
-    ``matrix_words(key, areas[i], r, c)``."""
+    if cols < 1:
+        raise ValueError("cols must be >= 1")
+    if rows < 0:
+        raise ValueError("rows must be >= 0")
     seeds = [derive_seed(key, TAG_MATR, int(area)) for area in areas]
-    return _matrix(np.array(seeds, dtype=np.uint64), rows, cols, 0)
+    wpr = (cols + 63) // 64
+    words = stream_words(np.array(seeds, dtype=np.uint64), rows * wpr,
+                         offset=first_row * wpr)
+    words = words.reshape(len(seeds), rows, wpr)
+    words[..., -1] &= np.uint64(MASK64 >> (-cols % 64))
+    return words

@@ -88,16 +88,18 @@ class AreaPlan:
     the longest run of independent leading rows of its keyed matrix
     restricted to those columns, and it carries ``q_p[i]`` of them. Rows
     0..hb+q-1 are independent exactly when hb+q <= prefix, so ``embed``
-    solves a leading block of the rows eliminated here.
+    solves the leading rows of those eliminated here.
 
     The areas are eliminated in ``batches`` of consecutive areas, each as
-    one stack. A batch takes as many areas as would hold the bits still
-    to place if none of their rows were dependent, plus one, and plans
-    each on no more rows than its header and those bits need. Once all
-    bits are placed, a last batch plans the remaining areas for their
-    zero-length headers alone. With more bits than the areas hold, one
-    batch plans every area on all the rows it could ever use, which is
-    its capacity. Every area is eliminated exactly once.
+    one stack of equal blocks: block i holds the rows planned for area i,
+    then zero rows, and so does its syndrome. A batch takes as many areas
+    as would hold the bits still to place if none of their rows were
+    dependent, plus one, and plans each on no more rows than its header
+    and those bits need. Once all bits are placed, a last batch plans the
+    remaining areas for their zero-length headers alone. With more bits
+    than the areas hold, one batch plans every area on all the rows it
+    could ever use, which is its capacity. Every area is eliminated
+    exactly once.
 
     The areas share the key and size of ``codec``, the first area's, and
     take the area indices after it.
@@ -109,7 +111,7 @@ class AreaPlan:
         self.k = self.flippable.sum(axis=1)
         self.area_index = codec.area_index + np.arange(len(self.k))
         self.q_p = np.zeros(len(self.k), dtype=np.int64)
-        self.batches = []  # (areas slice, row starts, syndrome, Echelon)
+        self.batches = []  # (areas slice, planned rows, syndrome, Echelon)
         most = np.maximum(0, self.k - codec.header_bits)
         start, left = 0, n_bits
         while start < len(self.k):
@@ -128,19 +130,19 @@ class AreaPlan:
     def _eliminate(self, part: slice, covers, rows: np.ndarray) -> np.ndarray:
         """Eliminate the first rows[i] rows of each area in ``part`` as one
         stack; returns the payload bits each area has room for."""
-        starts = np.cumsum(rows) - rows
         words = max(1, (int(self.k[part].max(initial=0)) + 63) // 64)
-        h_rows = np.zeros((int(rows.sum()), words), dtype=np.uint64)
-        syndrome = np.zeros(len(h_rows), dtype=np.uint8)
+        h_rows = np.zeros((len(rows), rows.max(), words), dtype=np.uint64)
+        syndrome = np.zeros(h_rows.shape[:2], dtype=np.uint8)
         key, n = self.codec.key, self.codec.n
-        for area, cover, wet, at, q in zip(self.area_index[part].tolist(),
-                                           covers, self.flippable[part],
-                                           starts, rows.tolist()):
+        for area, cover, wet, q, block, bits in zip(
+                self.area_index[part].tolist(), covers, self.flippable[part],
+                rows.tolist(), h_rows, syndrome):
             d_words = prng.matrix_words(key, area, q, n)
             restricted = restrict_columns(d_words, wet)
-            h_rows[at:at + q, :restricted.shape[1]] = restricted
-            syndrome[at:at + q] = gf2.mat_vec_words(d_words, cover)
-        echelon = gf2.max_independent_prefix_words(h_rows, rows)
+            block[:q, :restricted.shape[1]] = restricted
+            bits[:q] = gf2.mat_vec_words(d_words, cover)
+        echelon = gf2.max_independent_prefix_words(
+            h_rows.reshape(-1, words), len(rows))
         prefix, hb = echelon.prefix, self.codec.header_bits
         for i in np.flatnonzero(prefix < hb)[:1]:
             raise HeaderCapacityError(
@@ -148,7 +150,7 @@ class AreaPlan:
                 f"independent rows over {self.k[part][i]} flippable pixels, "
                 f"need {hb} for the header; {np.sum(prefix < hb)} of the "
                 f"{part.stop} areas eliminated so far lack room for it")
-        self.batches.append((part, starts, syndrome, echelon))
+        self.batches.append((part, rows, syndrome, echelon))
         return prefix - hb
 
     def embed(self, message: np.ndarray) -> np.ndarray:
@@ -157,15 +159,15 @@ class AreaPlan:
         bits of ``message`` behind its header."""
         hb, sent = self.codec.header_bits, 0
         flips = np.zeros_like(self.flippable)
-        for part, starts, syndrome, echelon in self.batches:
+        for part, _, syndrome, echelon in self.batches:
             q_p, rhs = self.q_p[part], syndrome.copy()
             header = (q_p[:, None] >> np.arange(hb - 1, -1, -1)) & 1  # big-endian
-            rhs[starts[:, None] + np.arange(hb)] ^= header.astype(np.uint8)
-            # payload bit j of area i goes to row starts[i] + hb + j
-            at = np.repeat(starts + hb - np.cumsum(q_p) + q_p, q_p)
-            rhs[at + np.arange(len(at))] ^= message[sent:sent + len(at)]
-            sent += len(at)
-            v, consistent = echelon.solve(rhs, hb + q_p)
+            rhs[:, :hb] ^= header.astype(np.uint8)
+            # payload bit j of area i goes to row hb + j of its block
+            row, end = np.arange(rhs.shape[1]), sent + int(q_p.sum())
+            rhs[(hb <= row) & (row < hb + q_p[:, None])] ^= message[sent:end]
+            sent = end
+            v, consistent = echelon.solve(rhs.reshape(-1), hb + q_p)
             if not consistent.all():
                 bad = self.area_index[part][np.argmin(consistent)]
                 raise RuntimeError(f"area {bad}: independent rows "
@@ -182,10 +184,13 @@ def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
 
     Returns the result plus the number of payload bits consumed.
     ``cover_words`` is the area's n cover bits packed; ``flippable``
-    holds within-area positions (sorted); ``message`` is the remaining
+    holds within-area positions, 0 .. n-1; ``message`` is the remaining
     bit sequence.
     """
     message = message_bits(message)
+    positions = np.asarray(flippable)
+    if ((positions < 0) | (positions >= codec.n)).any():
+        raise ValueError("flippable positions must lie in 0 .. n-1")
     wet = np.zeros((1, codec.n), dtype=bool)
     wet[0, flippable] = True
     area = AreaPlan(codec, [cover_words], wet, len(message))

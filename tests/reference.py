@@ -3,12 +3,13 @@
 They are the plain loops the library replaced with whole-array code, kept
 as oracles: the tests require the library to agree with them.
 ``ColumnEchelon`` is the column-at-a-time elimination that ``gf2.Echelon``
-replaced with blocks of 8 columns. ``component_counts`` counts the
-8-connected components of a whole image for the topology tests. The
-GF(2) helpers at the end hold rows as Python ints (bit j of a row int =
-column j); ``solve`` and ``max_independent_prefix`` among them are not
-oracles but thin adapters that run the library's word engine on such
-rows.
+replaced with blocks of 8 columns, and ``pad_blocks`` lays ragged systems
+out as the stacked blocks of rows that both take. ``component_counts``
+counts the 8-connected components of a whole image for the topology
+tests. The GF(2) helpers at the end hold rows as Python ints (bit j of
+a row int = column j); ``solve`` and ``max_independent_prefix`` among
+them are not oracles but thin adapters that run the library's word
+engine on such rows.
 """
 
 from __future__ import annotations
@@ -188,29 +189,36 @@ _ONE = np.uint64(1)
 _SHIFT = np.arange(64, dtype=np.uint64)
 
 
+def pad_blocks(ragged: np.ndarray, sizes) -> np.ndarray:
+    """Ragged systems, system i the next sizes[i] entries of ``ragged``
+    (rows, or right-hand side bits), as the block stack ``gf2.Echelon``
+    takes: block i holds system i's entries, then zeros up to the largest
+    system."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    out = np.zeros(inside.shape + ragged.shape[1:], dtype=ragged.dtype)
+    out[inside] = ragged
+    return out.reshape((-1,) + ragged.shape[1:])
+
+
 class ColumnEchelon:
     """``gf2.Echelon``'s lock-step elimination, one column per step.
 
-    Same constructor, ``.prefix`` and ``solve``. Step c takes the first
-    remaining row with column c as the pivot of every system that has
-    one, and adds it to every remaining row with that column, itself
-    included; ``solve`` replays the steps forward for the pivots' carried
-    bits and backward for the solution, with free variables 0.
+    Same constructor, on ``count`` stacked blocks of rows of one height,
+    ``.prefix`` and ``solve``. Step c takes the first remaining row with
+    column c as the pivot of every system that has one, and adds it to
+    every remaining row with that column, itself included; ``solve``
+    replays the steps forward for the pivots' carried bits and backward
+    for the solution, with free variables 0.
     """
 
-    def __init__(self, rows: np.ndarray, sizes):
-        rows = np.ascontiguousarray(rows, dtype=np.uint64)
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        total, count = len(rows), len(self.sizes)
-        if self.sizes.sum() != total:
-            raise ValueError("sizes must add up to the row count")
+    def __init__(self, rows: np.ndarray, count: int):
+        rows = np.asarray(rows, dtype=np.uint64)
         words = self.words = rows.shape[1]
-        starts = np.cumsum(self.sizes) - self.sizes
-        self._system = np.repeat(np.arange(count), self.sizes)
-        self._local = np.arange(total) - np.repeat(starts, self.sizes)
-        height = self.height = int(self.sizes.max(initial=0))
-        h = np.zeros((words, height, count), dtype=np.uint64)
-        h[:, self._local, self._system] = rows.T
+        height = self.height = len(rows) // max(count, 1)
+        if count * height != len(rows):
+            raise ValueError("rows must be count blocks of equal height")
+        h = rows.reshape(count, height, words).transpose(2, 1, 0).copy()
         systems = np.arange(count)
         scratch = np.empty((height, count), dtype=np.uint64)
         # the row after the last never pivots
@@ -244,13 +252,12 @@ class ColumnEchelon:
         self.prefix = np.argmin(pivoted, axis=0)
 
     def solve(self, rhs_bits: np.ndarray, use) -> tuple[np.ndarray, np.ndarray]:
-        rhs_bits = np.asarray(rhs_bits, dtype=np.uint8)
         use = np.asarray(use, dtype=np.int64)
-        if len(rhs_bits) != len(self._local):
+        count = len(self.prefix)
+        if np.shape(rhs_bits) != (count * self.height,):
             raise ValueError("rhs length must equal row count")
-        count = len(self.sizes)
-        rhs = np.zeros((self.height, count), dtype=np.uint8)
-        rhs[self._local, self._system] = rhs_bits
+        rhs = np.asarray(rhs_bits, dtype=np.uint8)
+        rhs = rhs.reshape(count, self.height).T.copy()
         carried = np.zeros((len(self.steps), count), dtype=np.uint8)
         for bit, (top, _, which, rows, _, adds) in zip(carried, self.steps):
             bit[which] = rhs[rows, which]
@@ -352,4 +359,4 @@ def max_independent_prefix(rows: list[int], cols: int | None = None) -> int:
     if cols is None:
         cols = max((r.bit_length() for r in rows), default=1)
     words = rows_to_words(rows, max(1, cols))
-    return int(gf2.max_independent_prefix_words(words, [len(rows)]).prefix[0])
+    return int(gf2.max_independent_prefix_words(words, 1).prefix[0])

@@ -13,6 +13,7 @@ from reference import (
     int_to_words,
     mat_vec,
     max_independent_prefix,
+    pad_blocks,
     rank,
     rows_to_words,
     solve,
@@ -103,13 +104,13 @@ def test_solve_inconsistent():
 
 def test_solve_dimension_checks():
     words = rows_to_words([0b01, 0b10, 0b11], 2)
-    with pytest.raises(ValueError, match="sizes"):
-        gf2.Echelon(words, [1, 1])  # sizes short of the row count
-    with pytest.raises(ValueError, match="sizes"):
-        gf2.max_independent_prefix_words(words, [2, 2])
-    echelon = gf2.Echelon(words, [2, 1])
+    with pytest.raises(ValueError, match="blocks"):
+        gf2.Echelon(words, 2)  # 3 rows are not 2 blocks of one height
+    with pytest.raises(ValueError, match="blocks"):
+        gf2.max_independent_prefix_words(words, 0)
+    echelon = gf2.Echelon(words, 3)
     with pytest.raises(ValueError, match="rhs"):
-        echelon.solve(np.zeros(2, dtype=np.uint8), [2, 1])  # rhs too short
+        echelon.solve(np.zeros(2, dtype=np.uint8), [1, 1, 1])  # rhs too short
     with pytest.raises(ValueError, match="rhs"):
         gf2.solve_words(words, np.zeros(4, dtype=np.uint8))  # rhs too long
 
@@ -121,10 +122,10 @@ def test_solve_rejects_non_bits():
     with pytest.raises(ValueError, match="0 or 1"):
         gf2.solve_words(words, np.array([2, 0]))
     with pytest.raises(ValueError, match="0 or 1"):
-        gf2.Echelon(words, [2]).solve([256, 0], [2])
+        gf2.Echelon(words, 1).solve([256, 0], [2])
     with pytest.raises(ValueError, match="0 or 1"):
-        gf2.Echelon(words, [2]).solve(np.array([0.5, 1.0]), [2])
-    v, consistent = gf2.Echelon(words, [2]).solve([True, False], [2])
+        gf2.Echelon(words, 1).solve(np.array([0.5, 1.0]), [2])
+    v, consistent = gf2.Echelon(words, 1).solve([True, False], [2])
     assert consistent[0] and words_to_int(v[0]) == 0b01
 
 
@@ -239,8 +240,10 @@ def test_stacked_systems_match_single_ones(cols, shapes):
     systems = [[row(start, width) for _ in range(n)]
                for n, start, width in shapes]
     systems[0][3] = systems[0][1] ^ systems[0][2]
+    sizes = [len(s) for s in systems]
     words = np.concatenate([rows_to_words(rows, cols) for rows in systems])
-    echelon = gf2.max_independent_prefix_words(words, [len(s) for s in systems])
+    echelon = gf2.max_independent_prefix_words(pad_blocks(words, sizes),
+                                                len(systems))
     assert echelon.prefix[0] <= 3
     for rows, p in zip(systems, echelon.prefix.tolist()):
         assert rank(rows[:p]) == p
@@ -250,7 +253,7 @@ def test_stacked_systems_match_single_ones(cols, shapes):
         rhs = [bits_to_int(r.integers(0, 2, u).tolist()) for u in use]
         rhs_bits = np.concatenate(
             [int_to_bits(b, len(s)) for b, s in zip(rhs, systems)])
-        v, consistent = echelon.solve(rhs_bits, use)
+        v, consistent = echelon.solve(pad_blocks(rhs_bits, sizes), use)
         for i, rows in enumerate(systems):
             alone = solve(rows[:use[i]], cols, rhs[i])
             assert consistent[i] == (alone is not None)
@@ -287,8 +290,9 @@ def pivot_columns(rows, cols):
 def check_stack(systems, cols, r):
     """Prefix and solves of one stacked elimination against ranks,
     mat-vec products and the pivot columns of each system on its own."""
+    sizes = [len(s) for s in systems]
     words = np.concatenate([rows_to_words(rows, cols) for rows in systems])
-    echelon = gf2.Echelon(words, [len(s) for s in systems])
+    echelon = gf2.Echelon(pad_blocks(words, sizes), len(systems))
     for rows, p in zip(systems, echelon.prefix.tolist()):
         assert rank(rows[:p]) == p
         assert p == len(rows) or rank(rows[:p + 1]) == p
@@ -299,7 +303,7 @@ def check_stack(systems, cols, r):
         rhs = [bits_to_int(r.integers(0, 2, u).tolist()) for u in use]
         rhs_bits = np.concatenate(
             [int_to_bits(b, len(s)) for b, s in zip(rhs, systems)])
-        v, consistent = echelon.solve(rhs_bits, use)
+        v, consistent = echelon.solve(pad_blocks(rhs_bits, sizes), use)
         for i, rows in enumerate(systems):
             block = rows[:use[i]]
             augmented = [row | ((rhs[i] >> j) & 1) << cols
@@ -394,14 +398,33 @@ def stack_rows(r, kind, sizes, words):
 @settings(max_examples=150, deadline=None)
 def test_echelon_matches_column_elimination(sizes, words, kind, seed):
     r = np.random.default_rng(seed)
-    rows = stack_rows(r, kind, sizes, words)
-    echelon, oracle = gf2.Echelon(rows, sizes), ColumnEchelon(rows, sizes)
+    rows = pad_blocks(stack_rows(r, kind, sizes, words), sizes)
+    echelon = gf2.Echelon(rows, len(sizes))
+    oracle = ColumnEchelon(rows, len(sizes))
     assert np.array_equal(echelon.prefix, oracle.prefix)
     sizes = np.array(sizes, dtype=np.int64)
     for use in (0 * sizes, oracle.prefix, np.minimum(sizes, oracle.prefix + 1),
                 sizes, r.integers(0, sizes + 1)):
-        rhs = r.integers(0, 2, len(rows), dtype=np.uint8)
+        rhs = pad_blocks(r.integers(0, 2, sizes.sum(), dtype=np.uint8), sizes)
         v, consistent = echelon.solve(rhs, use)
         v_oracle, consistent_oracle = oracle.solve(rhs, use)
         assert np.array_equal(consistent, consistent_oracle)
         assert np.array_equal(v, v_oracle)
+
+
+@pytest.mark.parametrize("engine", [gf2.Echelon, ColumnEchelon])
+@pytest.mark.parametrize("count, height, words", [
+    (1, 6, 3),   # one block: the stack needs no transpose
+    (4, 5, 1),   # one-word rows
+    (3, 7, 2),
+])
+def test_echelon_leaves_its_input_unchanged(engine, count, height, words):
+    """Elimination and solves work on copies, whatever the layout."""
+    r = np.random.default_rng(count * height * words)
+    rows = r.integers(0, 1 << 64, (count * height, words), dtype=np.uint64)
+    rhs = r.integers(0, 2, count * height, dtype=np.uint8)
+    rows_before, rhs_before = rows.copy(), rhs.copy()
+    echelon = engine(rows, count)
+    echelon.solve(rhs, np.full(count, height))
+    assert np.array_equal(rows, rows_before)
+    assert np.array_equal(rhs, rhs_before)

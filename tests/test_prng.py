@@ -239,13 +239,18 @@ def test_matrix_rows_match_word_oracle():
 
 def test_leading_rows_equal_each_areas_matrix():
     """Row i of the grouped keystream call is area i's own matrix, for
-    areas out of order and apart, area 0 among them."""
+    areas out of order and apart, area 0 among them, from the first row
+    and from a later one."""
     key = StegoKey(b"leading")
     areas = [7, 0, 3, 12]
-    got = prng.leading_rows(key, areas, 5, 70)
-    assert got.shape == (4, 5, 2)
-    for rows, area in zip(got, areas):
-        assert np.array_equal(rows, matrix_words(key, area, 5, 70))
+    for first_row in (0, 3):
+        got = prng.leading_rows(key, areas, 5, 70, first_row)
+        assert got.shape == (4, 5, 2)
+        for rows, area in zip(got, areas):
+            assert np.array_equal(
+                rows, matrix_words(key, area, 5, 70, first_row=first_row))
+            whole = matrix_words(key, area, first_row + 5, 70)
+            assert np.array_equal(rows, whole[first_row:])
 
 
 def test_matrix_words_surplus_bits_cleared():

@@ -251,7 +251,7 @@ def test_batched_areas_match_area_by_area():
         got.append((q, modified.tolist()))
     assert got == expected
     # some area had dependent rows among those planned for it
-    assert any((e.prefix < e.sizes).any() for *_, e in areas.batches)
+    assert any((e.prefix < rows).any() for _, rows, _, e in areas.batches)
 
 
 def test_batch_names_the_first_area_without_header_room():
@@ -309,6 +309,21 @@ def test_embed_area_rejects_non_bit_messages(monkeypatch, message):
     with pytest.raises(ValueError,
                        match="^message must be a 1-D array of 0/1 bits$"):
         embed_area(pack_bits(cover), mask, toy_codec(), message)
+
+
+@pytest.mark.parametrize("flippable", [np.arange(-10, 0), [3, 16], [40]])
+def test_embed_area_rejects_positions_outside_the_area(monkeypatch,
+                                                       flippable):
+    """Negative positions would wrap around to the area's end; positions
+    from n on lie past it. Either is refused before any elimination."""
+    def unreachable(*args):
+        raise AssertionError("eliminated for positions outside the area")
+
+    monkeypatch.setattr(gf2, "max_independent_prefix_words", unreachable)
+    cover = np.random.default_rng(25).integers(0, 2, 16).astype(np.uint8)
+    with pytest.raises(ValueError, match="0 .. n-1"):
+        embed_area(pack_bits(cover), flippable, toy_codec(),
+                   np.ones(3, np.uint8))
 
 
 @pytest.mark.parametrize("n", [16, 100, 200])
