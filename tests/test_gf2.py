@@ -414,7 +414,8 @@ def test_echelon_matches_column_elimination(sizes, words, kind, seed):
 
 @pytest.mark.parametrize("engine", [gf2.Echelon, ColumnEchelon])
 @pytest.mark.parametrize("count, height, words", [
-    (1, 6, 3),   # one block: the stack needs no transpose
+    (1, 6, 1),   # one block of one-word rows: its view is contiguous
+    (1, 6, 3),   # one block
     (4, 5, 1),   # one-word rows
     (3, 7, 2),
 ])
