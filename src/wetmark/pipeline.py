@@ -126,7 +126,7 @@ def embed(img: BinaryImage, key: StegoKey,
 def extract(img: BinaryImage, key: StegoKey) -> np.ndarray:
     """Blindly extract the embedded bit sequence using only the key."""
     _, idx = _shuffle(img, key)
-    return wpc.extract_areas(wpc.pack_bits(img.bits[idx]), AreaCodec(key))
+    return wpc.extract_area(wpc.pack_bits(img.bits[idx]), AreaCodec(key))
 
 
 def capacity(img: BinaryImage, key: StegoKey) -> EmbedReport:

@@ -9,6 +9,7 @@ reproducible without knowing the final row count.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,17 +167,13 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     return perm
 
 
-def matrix_words(key: StegoKey, area: int, rows: int, cols: int,
-                 first_row: int = 0) -> np.ndarray:
-    """``leading_rows`` of one area, as one (rows, words) array."""
-    return leading_rows(key, [area], rows, cols, first_row)[0]
+def matrix_words(key: StegoKey, areas: int | Sequence[int], rows: int,
+                 cols: int, first_row: int = 0) -> np.ndarray:
+    """Rows ``first_row .. first_row+rows-1`` of the keyed matrix of one
+    area, or of each of a sequence of areas, from one keystream call.
 
-
-def leading_rows(key: StegoKey, areas: list[int], rows: int, cols: int,
-                 first_row: int = 0) -> np.ndarray:
-    """Rows ``first_row .. first_row+rows-1`` of every area's matrix, one
-    (rows, words) block per area, from one keystream call.
-
+    One area gives a (rows, words) array. A sequence of areas gives their
+    block stack, (len(areas)*rows, words), block i holding area i's rows.
     Each row consumes exactly ceil(cols/64) stream words; bit j of a row
     is bit (j mod 64) of word j//64. Surplus bits of the last word are
     cleared so packed rows compare equal regardless of how they were cut.
@@ -185,10 +182,10 @@ def leading_rows(key: StegoKey, areas: list[int], rows: int, cols: int,
         raise ValueError("cols must be >= 1")
     if rows < 0:
         raise ValueError("rows must be >= 0")
-    seeds = [derive_seed(key, TAG_MATR, int(area)) for area in areas]
+    seeds = [derive_seed(key, TAG_MATR, area)
+             for area in np.ravel(areas).tolist()]
     wpr = (cols + 63) // 64
     words = stream_words(np.array(seeds, dtype=np.uint64), rows * wpr,
-                         offset=first_row * wpr)
-    words = words.reshape(len(seeds), rows, wpr)
-    words[..., -1] &= np.uint64(MASK64 >> (-cols % 64))
+                         offset=first_row * wpr).reshape(-1, wpr)
+    words[:, -1] &= np.uint64(MASK64 >> (-cols % 64))
     return words

@@ -18,7 +18,7 @@ from . import gf2, prng
 from .prng import StegoKey
 
 AREA_SIZE = 4096
-# Stream words of header rows that ``extract_areas`` makes at once: 256 KB.
+# Stream words of header rows that ``extract_area`` makes at once: 256 KB.
 HEADER_GROUP_WORDS = 1 << 15
 
 
@@ -199,33 +199,30 @@ def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
                            codec.header_bits + q_p, int(flips.sum())), q_p
 
 
-def extract_areas(received_words: np.ndarray, codec: AreaCodec) -> np.ndarray:
-    """Blindly read the payload bits of consecutive areas, in order.
+def extract_area(received_words: np.ndarray, codec: AreaCodec) -> np.ndarray:
+    """Blindly read the payload bits of one area, or of consecutive areas
+    in order: ``received_words`` is one area's packed received vector, or
+    one per row, row i that of area ``codec.area_index + i``.
 
-    Row i of ``received_words`` is the received vector of area
-    ``codec.area_index + i``; the areas share the key and size of
-    ``codec``. Every area's header rows come from one keystream call per
-    group of areas, bounded to ``HEADER_GROUP_WORDS`` stream words, and
-    are multiplied in one mat-vec per group. Only areas that announce a
-    payload then generate and multiply their payload rows, one by one.
+    The areas share the key and size of ``codec``. Their header rows come
+    from one keystream call per group of areas, bounded to
+    ``HEADER_GROUP_WORDS`` stream words, and are multiplied in one
+    mat-vec per group. Only areas that announce a payload then generate
+    and multiply their payload rows, one by one.
     """
     hb, n, key = codec.header_bits, codec.n, codec.key
-    words = np.asarray(received_words)
-    areas = list(range(codec.area_index, codec.area_index + len(words)))
+    words = np.atleast_2d(received_words)
+    areas = range(codec.area_index, codec.area_index + len(words))
     weights = 1 << np.arange(hb - 1, -1, -1)  # the header is big-endian
     group = max(1, HEADER_GROUP_WORDS // (hb * ((n + 63) // 64)))
     q_p = np.empty(len(words), dtype=np.int64)
     for s in range(0, len(words), group):
-        head = prng.leading_rows(key, areas[s:s + group], hb, n)
+        head = prng.matrix_words(key, areas[s:s + group], hb, n)
         q_p[s:s + group] = gf2.mat_vec_words(
-            head, words[s:s + group, None, :]) @ weights
+            head.reshape(-1, hb, head.shape[1]),
+            words[s:s + group, None, :]) @ weights
     payload = [gf2.mat_vec_words(prng.matrix_words(key, area, q, n,
                                                    first_row=hb), x)
                for area, q, x in zip(areas, q_p.tolist(), words)
                if q]
     return np.concatenate(payload or [np.empty(0, dtype=np.uint8)])
-
-
-def extract_area(received_words: np.ndarray, codec: AreaCodec) -> np.ndarray:
-    """Blindly read this area's payload bits from the received vector."""
-    return extract_areas(np.asarray(received_words)[None], codec)

@@ -252,3 +252,24 @@ def test_extract_matches_area_by_area_decoding(monkeypatch, rng, group_areas):
             assert np.array_equal(got, message)
         else:
             assert max(map(len, oracle)) > 3500
+
+
+def test_extract_makes_every_row_through_matrix_words(monkeypatch, rng):
+    """Blind extraction of a stego at capacity makes each area's 12 header
+    rows and each embedded bit's payload row once, all of them through
+    ``prng.matrix_words``."""
+    made = []
+    keyed_rows = prng.matrix_words
+
+    def counted(*args, **kwargs):
+        rows = keyed_rows(*args, **kwargs)
+        made.append(len(rows))
+        return rows
+
+    img = synth_image(300, 225, 22)
+    report = wm.capacity(img, KEY)
+    message = rng.integers(0, 2, report.n_embedded, dtype=np.uint8)
+    stego, _ = wm.embed(img, KEY, message)
+    monkeypatch.setattr(prng, "matrix_words", counted)
+    assert np.array_equal(wm.extract(stego, KEY), message)
+    assert sum(made) == report.n_areas * 12 + report.n_embedded

@@ -244,7 +244,8 @@ def test_leading_rows_equal_each_areas_matrix():
     key = StegoKey(b"leading")
     areas = [7, 0, 3, 12]
     for first_row in (0, 3):
-        got = prng.leading_rows(key, areas, 5, 70, first_row)
+        got = matrix_words(key, areas, 5, 70, first_row).reshape(
+            len(areas), 5, -1)
         assert got.shape == (4, 5, 2)
         for rows, area in zip(got, areas):
             assert np.array_equal(

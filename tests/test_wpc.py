@@ -9,7 +9,6 @@ from wetmark.wpc import (
     HeaderCapacityError,
     embed_area,
     extract_area,
-    extract_areas,
     pack_bits,
     restrict_columns,
     unpack_bits,
@@ -335,7 +334,7 @@ def test_extract_areas_is_area_by_area(monkeypatch, rng, n, count):
     monkeypatch.setattr(wpc, "HEADER_GROUP_WORDS", 2 * hb * ((n + 63) // 64))
     codec = AreaCodec(StegoKey(b"areas"), 9, n=n)
     words = pack_bits(rng.integers(0, 2, (count, n), dtype=np.uint8))
-    got = extract_areas(words, codec)
+    got = extract_area(words, codec)
     assert got.dtype == np.uint8
     expected = [oracle_extract_area(words_to_int(w), codec.key, 9 + i, n)
                 for i, w in enumerate(words)]
