@@ -42,7 +42,7 @@ def show(name, k):
 
 def main():
     page = make_page()
-    mask = compute_mask(page).as_bool()
+    mask = compute_mask(page).flags
     print(f"page: {page.width}x{page.height}, text over rows 85-169, "
           f"{int(mask.sum())} flippable pixels in "
           f"{page.width * page.height // AREA_SIZE} areas of {AREA_SIZE}\n")

@@ -84,19 +84,11 @@ def _read_image(path: str) -> tuple[BinaryImage, str]:
             return parse_pbm(data), data[:2].decode("ascii")
 
 
-def _bits_from_bytes(data: bytes) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-
-
-def _bytes_from_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(bits).tobytes()
-
-
 def _run(args) -> int:
     if args.command == "embed":
         img, variant = _read_image(args.inp)
         with open(args.msg, "rb") as fh:
-            message = _bits_from_bytes(fh.read())
+            message = np.unpackbits(np.frombuffer(fh.read(), dtype=np.uint8))
         stego, report = pipeline.embed(img, args.key, message)
         fmt = args.format.upper() if args.format else variant
         with open(args.out, "wb") as fh:
@@ -112,7 +104,7 @@ def _run(args) -> int:
         img, _ = _read_image(args.inp)
         bits = pipeline.extract(img, args.key)
         with open(args.out, "wb") as fh:
-            fh.write(_bytes_from_bits(bits))
+            fh.write(np.packbits(bits).tobytes())
         print(f"{len(bits)} bits", file=sys.stderr)
         return 0
 

@@ -1,12 +1,15 @@
 """Decide which pixels can be inverted without visible damage.
 
-A center pixel of a 3x3 window is flippable when the window is not
-uniform and complementing the center changes neither the number of
-8-connected black components nor the number of 8-connected white
-components inside the window. The rule is symmetric under the 8
-dihedral transforms of the grid and under color inversion, and is
-precomputed as a 512-entry table keyed by the 9-bit window code
-(bit i = cell i, row-major, cell 4 = center).
+A center pixel of a 3x3 window is flippable when its 8 neighbors of
+each color form exactly one 8-connected group inside the window. The
+center joins every neighbor of its own color, so inverting it splits
+that color's neighbors into their groups and merges the other color's:
+both component counts inside the window stay the same exactly when
+each color has one group. A uniform window has a color with none. The
+center never enters the rule, so a flipped pixel stays flippable. The
+rule is symmetric under the 8 dihedral transforms of the grid and under
+color inversion, and is precomputed as a 512-entry table keyed by the
+9-bit window code (bit i = cell i, row-major, cell 4 = center).
 """
 
 from __future__ import annotations
@@ -17,49 +20,26 @@ import numpy as np
 
 from .bitmap import BinaryImage
 
-CENTER = 4
 
-# 8-neighbor offsets within the 3x3 grid, as (row, col).
-_NEIGHBORS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+def _ring_groups(codes: np.ndarray, color: int) -> np.ndarray:
+    """Number of 8-connected groups of ``color`` among the 8 neighbors
+    of the center, for each window code.
 
-
-def _component_count(code: int, color: int) -> int:
-    """Number of 8-connected components of ``color`` cells in a window code."""
-    cells = [(code >> i) & 1 for i in range(9)]
-    seen = [False] * 9
-    count = 0
-    for start in range(9):
-        if seen[start] or cells[start] != color:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            r, c = divmod(i, 3)
-            for dr, dc in _NEIGHBORS:
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < 3 and 0 <= nc < 3:
-                    j = nr * 3 + nc
-                    if not seen[j] and cells[j] == color:
-                        seen[j] = True
-                        stack.append(j)
-    return count
+    The edge cells N, E, S and W are 8-neighbors of each other in a
+    4-cycle, and a corner touches only the two edges beside it. So the
+    groups are the runs of ``color`` around the edge cycle, plus the
+    corners whose two edges both have the other color.
+    """
+    edges = ((codes[:, None] >> [1, 5, 7, 3]) & 1) == color    # N, E, S, W
+    corners = ((codes[:, None] >> [2, 8, 6, 0]) & 1) == color  # NE, SE, SW, NW
+    runs = (edges & ~np.roll(edges, 1, axis=1)).sum(axis=1)
+    runs[edges.all(axis=1)] = 1
+    lone = corners & ~edges & ~np.roll(edges, -1, axis=1)
+    return runs + lone.sum(axis=1)
 
 
-def _classify(code: int) -> bool:
-    if code == 0 or code == 0x1FF:
-        return False
-    flipped = code ^ (1 << CENTER)
-    return (_component_count(code, 1) == _component_count(flipped, 1)
-            and _component_count(code, 0) == _component_count(flipped, 0))
-
-
-def _build_table() -> np.ndarray:
-    return np.array([_classify(code) for code in range(512)], dtype=bool)
-
-
-FLIP_TABLE = _build_table()
+FLIP_TABLE = ((_ring_groups(np.arange(512), 0) == 1)
+              & (_ring_groups(np.arange(512), 1) == 1))
 
 
 def is_flippable(code: int) -> bool:
@@ -93,10 +73,6 @@ class FlippabilityMask:
 
     def __len__(self):
         return int(np.count_nonzero(self.flags))
-
-    def as_bool(self) -> np.ndarray:
-        """Flat boolean membership array of length width*height."""
-        return self.flags.copy()
 
     def to_image(self) -> BinaryImage:
         """Render the mask as an image (flippable = black)."""

@@ -62,7 +62,9 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:n]
+    """The first ``n`` bits of packed words, LSB-first; a 2-D array row by row."""
+    row_bytes = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(row_bytes, axis=-1, bitorder="little")[..., :n]
 
 
 def message_bits(message) -> np.ndarray:
@@ -75,8 +77,7 @@ def message_bits(message) -> np.ndarray:
 
 def restrict_columns(rows_words: np.ndarray, flippable: np.ndarray) -> np.ndarray:
     """Rows of D restricted to the columns ``flippable`` marks, re-packed."""
-    row_bytes = np.ascontiguousarray(rows_words).view(np.uint8)
-    bits = np.unpackbits(row_bytes, axis=1, bitorder="little")
+    bits = unpack_bits(rows_words, len(flippable))
     return pack_bits(np.compress(flippable, bits, axis=1))
 
 
@@ -172,7 +173,7 @@ class AreaPlan:
                 bad = self.area_index[part][np.argmin(consistent)]
                 raise RuntimeError(f"area {bad}: independent rows "
                                    "gave an inconsistent system")
-            v_bits = np.unpackbits(v.view(np.uint8), axis=1, bitorder="little")
+            v_bits = unpack_bits(v, int(self.k[part].max()))
             inside = np.arange(v_bits.shape[1]) < self.k[part][:, None]
             flips[part][self.flippable[part]] = v_bits[inside]
         return flips

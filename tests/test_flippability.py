@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from wetmark.bitmap import BinaryImage
-from wetmark.flippability import compute_mask, is_flippable, window_code
+from wetmark.bitmap import BinaryImage, flip_pixel
+from wetmark.flippability import (FLIP_TABLE, compute_mask, is_flippable,
+                                  window_code)
 
 from conftest import synth_image
 from reference import component_counts
@@ -76,6 +77,20 @@ def test_dihedral_and_inversion_invariance():
         for m in maps:
             assert is_flippable(_transform_code(code, m)) == value
         assert is_flippable(code ^ 0x1FF) == value
+
+
+def test_center_never_enters_the_rule():
+    codes = np.arange(512)
+    assert (FLIP_TABLE == FLIP_TABLE[codes ^ (1 << 4)]).all()
+    assert FLIP_TABLE.sum() == 112
+
+
+def test_flipped_pixel_stays_flippable():
+    img = synth_image(96, 80, 5)
+    flippable = compute_mask(img).indices
+    assert len(flippable) >= 200
+    for p in flippable.tolist():
+        assert compute_mask(flip_pixel(img, p)).flags[p], p
 
 
 def test_specific_patterns():

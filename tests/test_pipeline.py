@@ -135,7 +135,7 @@ def test_shuffle_equalizes_area_capacity():
     page = np.zeros((256, 256), dtype=np.uint8)
     page[85:170] = synth_image(256, 85, 3).grid()  # text, blank margins
     img = BinaryImage(256, 256, page.reshape(-1))
-    mask = flippability.compute_mask(img).as_bool()
+    mask = flippability.compute_mask(img).flags
     raster_k = mask.reshape(-1, AREA_SIZE).sum(axis=1)  # unshuffled areas
     assert (raster_k < 12).sum() >= 8
     assert raster_k.std() / raster_k.mean() > 1

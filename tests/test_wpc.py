@@ -186,6 +186,8 @@ def test_pack_unpack_roundtrip():
     for n in [16, 70, 4096]:
         bits = rng.integers(0, 2, n).astype(np.uint8)
         assert unpack_bits(pack_bits(bits), n).tolist() == bits.tolist()
+        rows = rng.integers(0, 2, (3, n)).astype(np.uint8)  # row by row
+        assert unpack_bits(pack_bits(rows), n).tolist() == rows.tolist()
 
 
 @pytest.mark.parametrize("n", [16, 70, 100, 4096])
