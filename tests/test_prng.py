@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -156,6 +157,29 @@ def test_permutation_matches_fisher_yates_at_chunk_edges(key_bytes, n):
         oracle_fisher_yates(key_bytes, n)
 
 
+@given(st.binary(min_size=1, max_size=16),
+       st.integers(3 * _CHUNK, 5 * _CHUNK))
+@settings(max_examples=6, deadline=None)
+def test_permutation_matches_fisher_yates_across_chunks(key_bytes, n):
+    # Over several chunks of run ends, some swaps link to a swap of their
+    # own chunk, whose root is not yet known when the chunk is read.
+    assert permutation(StegoKey(key_bytes), n).tolist() == \
+        oracle_fisher_yates(key_bytes, n)
+
+
+@pytest.mark.parametrize("n, digest", [
+    (1 << 20,
+     "70d7a9fc19a0fea88a5e3bba24fc7d8221bfcfa254eaf40a4922690b0fbb0d9e"),
+    ((1 << 21) + 1,
+     "795eb315d541b315bd6f164f12343de54b9292bb4af10ecdd2c7b62a05cdbb40"),
+])
+def test_permutation_is_pinned_at_desk_scale(n, digest):
+    # Frozen from the pointer-jumping implementation; the oracle tests
+    # stop far below the sizes of a desk scan.
+    perm = permutation(StegoKey(b"k"), n)
+    assert hashlib.sha256(perm.astype("<u4").tobytes()).hexdigest() == digest
+
+
 _FEW_KEYS = [b"a", b"b", b"c", b"d", b"e", b"f"]
 
 
@@ -184,6 +208,15 @@ def test_permutation_is_uint32_in_bounded_memory():
         tracemalloc.stop()
     assert perm.dtype == np.uint32
     assert peak <= 20 * n  # the output itself is 4 bytes per pixel
+
+
+@pytest.mark.parametrize("n", [1, 2, 3 * _CHUNK + 5])
+def test_permutation_owns_its_data(n):
+    # A view into the 8 B/pixel sort buffer would keep that buffer alive
+    # for as long as the permutation is held, as EmbedPlan holds it.
+    perm = permutation(StegoKey(b"k"), n)
+    assert perm.dtype == np.uint32
+    assert perm.flags.c_contiguous and perm.base is None
 
 
 def test_permutation_size_limits():
