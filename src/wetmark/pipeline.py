@@ -95,8 +95,9 @@ def _plan_areas(img: BinaryImage, key: StegoKey, n_bits: int):
     """Each area's pixel indices (one row each), the leftover pixel count
     and the ``wpc.AreaPlan`` of ``n_bits`` over the areas."""
     perm, idx = _shuffle(img, key)
-    areas = wpc.AreaPlan(AreaCodec(key), wpc.pack_bits(img.bits[idx]),
-                         flippability.compute_mask(img).flags[idx], n_bits)
+    areas = wpc.AreaPlan(AreaCodec(key), wpc.pack_bits(np.take(img.bits, idx)),
+                         np.take(flippability.compute_mask(img).flags, idx),
+                         n_bits)
     return idx, perm.size - idx.size, areas
 
 
@@ -126,7 +127,8 @@ def embed(img: BinaryImage, key: StegoKey,
 def extract(img: BinaryImage, key: StegoKey) -> np.ndarray:
     """Blindly extract the embedded bit sequence using only the key."""
     _, idx = _shuffle(img, key)
-    return wpc.extract_area(wpc.pack_bits(img.bits[idx]), AreaCodec(key))
+    return wpc.extract_area(wpc.pack_bits(np.take(img.bits, idx)),
+                            AreaCodec(key))
 
 
 def capacity(img: BinaryImage, key: StegoKey) -> EmbedReport:

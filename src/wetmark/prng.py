@@ -91,20 +91,20 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     """Keyed Fisher-Yates permutation of 0..n_total-1, as uint32.
 
     Swap t = 0, 1, ..., n_total-1 exchanges the entries at positions
-    i = n_total-1-t and j_t = (word t of the TAG_PERM stream) mod (i+1);
+    i_t = n_total-1-t and j_t = (word t of the TAG_PERM stream) mod (i_t+1);
     the last swap, of position 0 with itself, changes nothing.
 
-    The swaps are not run one after another. Position i is final after
+    The swaps are not run one after another. Position i_t is final after
     swap t and receives what position j_t held just before it: j_t
     itself if no earlier swap drew j_t, else what the last such swap s
-    moved there, namely the entry position i_s held just before swap s.
-    That entry is in turn what the last swap before s that drew i_s moved
-    there, or i_s itself if there is none. These links form a forest
-    whose depth grows like log n (Shun et al., SODA 2015), so pointer
-    jumping resolves all of it in a few passes, and the result equals the
-    sequential shuffle exactly. Each pass visits only the swaps whose
-    link is not yet a root: half the swaps before the first pass, an
-    eighth after it.
+    moved there, namely root[i_s], the entry position i_s held just
+    before swap s. That entry is in turn root[i_r] for the last swap r
+    before s that drew i_s, or i_s itself if there is none. These links
+    form a forest whose depth grows like log n (Shun et al., SODA 2015).
+    Each link points to a higher position, so one pass over the drawn
+    positions from the highest down finds every root already resolved,
+    except for links inside the chunk the pass is reading, which a few
+    hops resolve. The result equals the sequential shuffle exactly.
     """
     if not 1 <= n_total <= 1 << 32:
         raise ValueError("n_total must be in 1 .. 2**32")
@@ -115,55 +115,55 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     # the sorted order holds the swaps that drew one position, in order.
     order = np.empty(n, dtype=np.uint64)
     for s, e in chunks:
-        j = stream_words(seed, e - s, offset=s) % np.arange(
-            n - s, n - e, -1, dtype=np.uint64)
-        order[s:e] = (j << np.uint64(32)) | np.arange(s, e, dtype=np.uint64)
+        j = stream_words(seed, e - s, offset=s)
+        j %= np.arange(n - s, n - e, -1, dtype=np.uint64)
+        j <<= np.uint64(32)
+        np.bitwise_or(j, np.arange(s, e, dtype=np.uint64), out=order[s:e])
     order.sort()
+    # Unpack sorted swap u into position[u] = i_t, an array of its own,
+    # and drawn[u] = j_t, packed into the first half of the sort buffer;
+    # the second half then holds root, root[p] = p until a link sets it.
+    # Chunk s reads from 2s on and writes at s, so it only overwrites
+    # pairs it has already read.
     halves = order.view(np.uint32)
-    swap, drawn = ((halves[0::2], halves[1::2]) if np.little_endian
-                   else (halves[1::2], halves[0::2]))
+    low = 0 if np.little_endian else 1
+    position = np.empty(n, dtype=np.uint32)
+    drawn, root = halves[:n], halves[n:]
+    for s, e in chunks:
+        np.subtract(n - 1, halves[2 * s + low:2 * e:2], out=position[s:e])
+        drawn[s:e] = halves[2 * s + 1 - low:2 * e:2]
+    for s, e in chunks:
+        root[s:e] = np.arange(s, e, dtype=np.uint32)
     # first[u]: sorted swap u starts its run; first[u + 1]: it ends it.
     first = np.ones(n + 1, dtype=bool)
     np.not_equal(drawn[1:], drawn[:-1], out=first[1:n])
-    # link[t]: the last swap before t that drew i_t = n-1-t, or t itself
-    # (a root) if there is none. A swap with j_t = i_t links to itself too,
-    # wrongly, but it is the last to draw i_t, so no entry it holds is read.
-    # The swaps with a link are the open ones, those not yet known to
-    # point at a root; a root never changes, so only they need jumping.
-    link = np.arange(n, dtype=np.uint32)
-    by_position = link[::-1]
-    open_ = np.empty(np.count_nonzero(first[1:]), dtype=np.uint32)
-    size = 0
-    for s, e in chunks:
-        end = np.flatnonzero(first[s + 1:e + 1]) + s  # sorted run ends
-        position, last = drawn[end], swap[end]
-        by_position[position] = last
-        t = np.subtract(n - 1, position, out=position)
-        t = t[t != last]
-        open_[size:size + t.size] = t
-        size += t.size
-    # Pointer jumping over the open swaps, in place: a swap's link only
-    # ever moves to an earlier swap on its way to the root, and it leaves
-    # the open set once it reaches it.
-    while size:
-        kept = 0
-        for s in range(0, size, _CHUNK):
-            t = open_[s:min(size, s + _CHUNK)]
-            up = link[link[t]]
-            link[t] = up
-            t = t[link[up] != up]
-            open_[kept:kept + t.size] = t
-            kept += t.size
-        size = kept
-    root = link
-    del by_position, open_, end, position, last, t  # freed before perm
-    held = np.subtract(n - 1, root, out=root)  # entry at i_t before swap t
+    # The end of the run of position p is the last swap to draw p, so
+    # root[p] = root[position of that swap], a higher position. A swap
+    # that drew its own position (j_t = i_t) is the end of its own run and
+    # links p to itself, wrongly, but it is the last to draw p, so no
+    # later swap and no other link reads root[p]. Gathers go through
+    # np.take; scatters index with intp, where np.put is slower.
+    for s, e in reversed(chunks):
+        end = np.flatnonzero(first[s + 1:e + 1])
+        end += s
+        p = np.take(drawn, end).astype(np.intp)
+        last = np.take(position, end)
+        root[p] = np.take(root, last)
+        # A link to a position of this chunk read root there before the
+        # chunk set it: jump those links along until they reach a root.
+        p = p[last <= drawn[e - 1]]
+        while p.size:
+            up = np.take(root, p)
+            top = np.take(root, up)
+            open_ = top != up
+            p = p[open_]
+            root[p] = top[open_]
     perm = np.empty(n, dtype=np.uint32)
     for s, e in chunks:
         value = drawn[s:e]  # read nowhere else: overwritten in place
         later = np.flatnonzero(~first[s:e])
-        value[later] = held[swap[later + s - 1]]
-        perm[::-1][swap[s:e]] = value  # perm[::-1][t] is position i_t
+        value[later] = np.take(root, np.take(position, later + s - 1))
+        perm[position[s:e].astype(np.intp)] = value
     return perm
 
 
