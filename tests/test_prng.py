@@ -174,8 +174,8 @@ def test_permutation_matches_fisher_yates_across_chunks(key_bytes, n):
      "795eb315d541b315bd6f164f12343de54b9292bb4af10ecdd2c7b62a05cdbb40"),
 ])
 def test_permutation_is_pinned_at_desk_scale(n, digest):
-    # Frozen from the pointer-jumping implementation; the oracle tests
-    # stop far below the sizes of a desk scan.
+    # Frozen at sizes of a desk scan, 64 and 129 chunks; the oracle tests
+    # stop at a few chunks.
     perm = permutation(StegoKey(b"k"), n)
     assert hashlib.sha256(perm.astype("<u4").tobytes()).hexdigest() == digest
 
