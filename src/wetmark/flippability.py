@@ -88,10 +88,14 @@ def compute_mask(img: BinaryImage) -> FlippabilityMask:
     if img.width < 3 or img.height < 3:
         raise ValueError("image must be at least 3x3")
     g = img.grid()
-    codes = np.zeros((img.height - 2, img.width - 2), dtype=np.int16)
-    for bit in range(9):
-        dr, dc = divmod(bit, 3)
-        codes |= g[dr:dr + img.height - 2, dc:dc + img.width - 2].astype(np.int16) << bit
+    # bit dr*3 + dc of a code is cell (dr, dc): a 3-bit code per pixel along
+    # each row, then three rows of those, the last row's in the top bits
+    cols = g[:, :-2] | g[:, 1:-1] << 1 | g[:, 2:] << 2  # uint8, up to 7
+    codes = cols[2:].astype(np.uint16)
+    codes <<= 3
+    codes |= cols[1:-1]
+    codes <<= 3
+    codes |= cols[:-2]
     flags = np.zeros((img.height, img.width), dtype=bool)
     flags[1:-1, 1:-1] = FLIP_TABLE[codes]
     flags.setflags(write=False)

@@ -18,7 +18,8 @@ from . import gf2, prng
 from .prng import StegoKey
 
 AREA_SIZE = 4096
-# Stream words of header rows that ``extract_area`` makes at once: 256 KB.
+# The keyed rows of consecutive areas are made one group per keystream
+# call: as many areas as fit in this many stream words (256 KB), at least one.
 HEADER_GROUP_WORDS = 1 << 15
 
 
@@ -102,12 +103,21 @@ class AreaPlan:
     could ever use, which is its capacity. Every area is eliminated
     exactly once.
 
+    A batch's keyed rows are made a group of consecutive areas at a time,
+    with one keystream call and one mat-vec for the syndromes per group.
+    A group holds as many areas as fit in ``HEADER_GROUP_WORDS`` stream
+    words at the largest row count planned among them, and at least one.
+    Rows an area gets past its planned count stay out of its block and
+    its syndrome. Each area's planned rows are then restricted to its
+    flippable columns on their own.
+
     The areas share the key and size of ``codec``, the first area's, and
     take the area indices after it.
     """
 
     def __init__(self, codec: AreaCodec, covers, flippable, n_bits: int):
         self.codec = codec
+        covers = np.asarray(covers)
         self.flippable = np.asarray(flippable, dtype=bool)
         self.k = self.flippable.sum(axis=1)
         self.area_index = codec.area_index + np.arange(len(self.k))
@@ -135,13 +145,28 @@ class AreaPlan:
         h_rows = np.zeros((len(rows), rows.max(), words), dtype=np.uint64)
         syndrome = np.zeros(h_rows.shape[:2], dtype=np.uint8)
         key, n = self.codec.key, self.codec.n
-        for area, cover, wet, q, block, bits in zip(
-                self.area_index[part].tolist(), covers, self.flippable[part],
-                rows.tolist(), h_rows, syndrome):
-            d_words = prng.matrix_words(key, area, q, n)
-            restricted = restrict_columns(d_words, wet)
-            block[:q, :restricted.shape[1]] = restricted
-            bits[:q] = gf2.mat_vec_words(d_words, cover)
+        row_words = (n + 63) // 64
+        areas, wet = self.area_index[part], self.flippable[part]
+        planned = rows.tolist()
+        start = 0
+        while start < len(planned):
+            # the most areas whose rows fit the bound at their largest height
+            end = start + 1
+            while (end < len(planned) and (end + 1 - start) * row_words
+                   * max(planned[start:end + 1]) <= HEADER_GROUP_WORDS):
+                end += 1
+            height = max(planned[start:end])
+            d_words = prng.matrix_words(key, areas[start:end], height, n)
+            d_words = d_words.reshape(end - start, height, row_words)
+            syndrome[start:end, :height] = gf2.mat_vec_words(
+                d_words, covers[start:end, None])
+            for i, d in enumerate(d_words, start):
+                restricted = restrict_columns(d[:planned[i]], wet[i])
+                h_rows[i, :planned[i], :restricted.shape[1]] = restricted
+            start = end
+        # clear the syndrome rows past an area's planned count, which a
+        # taller area of its group made; its block holds zeros there
+        syndrome[np.arange(syndrome.shape[1]) >= rows[:, None]] = 0
         echelon = gf2.max_independent_prefix_words(
             h_rows.reshape(-1, words), len(rows))
         prefix, hb = echelon.prefix, self.codec.header_bits

@@ -6,10 +6,11 @@ as oracles: the tests require the library to agree with them.
 replaced with blocks of 8 columns, and ``pad_blocks`` lays ragged systems
 out as the stacked blocks of rows that both take. ``component_counts``
 counts the 8-connected components of a whole image for the topology
-tests. The GF(2) helpers at the end hold rows as Python ints (bit j of
-a row int = column j); ``solve`` and ``max_independent_prefix`` among
-them are not oracles but thin adapters that run the library's word
-engine on such rows.
+tests, and ``oracle_mask_flags`` builds the flippability mask from nine
+shifted copies of the image, one per window cell. The GF(2) helpers at
+the end hold rows as Python ints (bit j of a row int = column j);
+``solve`` and ``max_independent_prefix`` among them are not oracles but
+thin adapters that run the library's word engine on such rows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from wetmark import gf2
 from wetmark.bitmap import MAX_SIDE, BinaryImage, PbmError
+from wetmark.flippability import FLIP_TABLE
 from wetmark.prng import GAMMA, MASK64, StegoKey, matrix_words, mix64
 
 
@@ -181,6 +183,19 @@ def component_counts(grid) -> tuple[int, int]:
                             seen[ny][nx] = True
                             queue.append((ny, nx))
     return counts[1], counts[0]
+
+
+def oracle_mask_flags(img: BinaryImage) -> np.ndarray:
+    """Flat flippability flags of ``img``: each window code is the sum of
+    its nine cells shifted by their bit, one shifted copy per cell."""
+    g = img.grid()
+    codes = np.zeros((img.height - 2, img.width - 2), dtype=np.int16)
+    for bit in range(9):
+        dr, dc = divmod(bit, 3)
+        codes |= g[dr:dr + img.height - 2, dc:dc + img.width - 2].astype(np.int16) << bit
+    flags = np.zeros((img.height, img.width), dtype=bool)
+    flags[1:-1, 1:-1] = FLIP_TABLE[codes]
+    return flags.reshape(-1)
 
 
 # --- GF(2) elimination one column at a time --------------------------------

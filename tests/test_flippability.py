@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wetmark.bitmap import BinaryImage, flip_pixel
 from wetmark.flippability import (FLIP_TABLE, compute_mask, is_flippable,
                                   window_code)
 
 from conftest import synth_image
-from reference import component_counts
+from reference import component_counts, oracle_mask_flags
 
 # --- independent oracle: BFS flood fill over the 3x3 grid -----------------
 
@@ -146,6 +149,39 @@ def test_mask_matches_per_pixel_oracle():
         indices = compute_mask(img).indices
         assert indices.tolist() == expected
         assert (np.diff(indices) > 0).all()  # strictly increasing
+
+
+@st.composite
+def _images(draw):
+    """Random images 3 to 70 pixels on a side, a third of them 3xN or Nx3."""
+    width, height = draw(st.integers(3, 70)), draw(st.integers(3, 70))
+    thin = draw(st.sampled_from(["", "3xN", "Nx3"]))
+    width = 3 if thin == "3xN" else width
+    height = 3 if thin == "Nx3" else height
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return BinaryImage(width, height,
+                       rng.integers(0, 2, width * height, dtype=np.uint8))
+
+
+@given(_images())
+@settings(max_examples=60, deadline=None)
+def test_mask_matches_nine_shift_oracle(img):
+    """The mask built from a 3-bit code per pixel of each row, three rows
+    at a time, equals the nine shifted copies it replaced, 3xN and Nx3
+    images included."""
+    assert np.array_equal(compute_mask(img).flags, oracle_mask_flags(img))
+
+
+def test_mask_memory_per_pixel():
+    img = synth_image(1024, 1024, 5)
+    compute_mask(img)
+    tracemalloc.start()
+    try:
+        compute_mask(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 1024 * 1024
 
 
 def test_mask_5x5_segment_case():

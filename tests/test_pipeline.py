@@ -254,6 +254,41 @@ def test_extract_matches_area_by_area_decoding(monkeypatch, rng, group_areas):
             assert max(map(len, oracle)) > 3500
 
 
+def test_embed_makes_keyed_rows_a_group_of_areas_at_a_time(monkeypatch, rng):
+    """``AreaPlan`` makes the planned rows of consecutive areas with one
+    keystream call per group, bounded by ``HEADER_GROUP_WORDS``. The stego,
+    the report and the capacity do not depend on the bound: down to one
+    area per group, the work of making each area's rows on its own, and up
+    to whole stacks, whose areas plan different row counts. The areas that
+    carry only their header take one call per group of them."""
+    hb_words = 12 * (AREA_SIZE // 64)  # header stream words of one area
+    img = synth_image(420, 420, 21)
+    message = rng.integers(0, 2, 600, dtype=np.uint8)
+    keyed_rows = prng.matrix_words
+    runs = []
+    whole = 43 * AREA_SIZE * (AREA_SIZE // 64)  # every stack in one group
+    for group_words in (wpc.HEADER_GROUP_WORDS, 3 * hb_words, hb_words,
+                        whole):
+        calls = []
+
+        def counted(key, areas, rows, *args, **kwargs):
+            calls.append((np.size(areas), rows))
+            return keyed_rows(key, areas, rows, *args, **kwargs)
+
+        monkeypatch.setattr(wpc, "HEADER_GROUP_WORDS", group_words)
+        monkeypatch.setattr(prng, "matrix_words", counted)
+        stego, report = wm.embed(img, KEY, message)
+        assert sum(size for size, _ in calls) == report.n_areas == 43
+        header_only = [size for size, rows in calls if rows == 12]
+        assert sum(header_only) >= 30
+        assert len(header_only) == -(-sum(header_only)
+                                     // (group_words // hb_words))
+        runs.append((stego.bits.tobytes(), report.to_json(),
+                     wm.capacity(img, KEY).to_json()))
+    assert runs[1:] == runs[:1] * 3
+    assert np.array_equal(wm.extract(stego, KEY), message)
+
+
 def test_extract_makes_every_row_through_matrix_words(monkeypatch, rng):
     """Blind extraction of a stego at capacity makes each area's 12 header
     rows and each embedded bit's payload row once, all of them through

@@ -152,7 +152,8 @@ def test_permutation_matches_fisher_yates_with_long_chains(n):
        st.sampled_from([m * _CHUNK + d for m in (1, 2) for d in (-1, 0, 1)]))
 @settings(max_examples=12, deadline=None)
 def test_permutation_matches_fisher_yates_at_chunk_edges(key_bytes, n):
-    # The run ends, the open set and its passes are all cut into chunks.
+    # The draws, the run ends that the roots pass reads and the final
+    # scatter are all cut into chunks.
     assert permutation(StegoKey(key_bytes), n).tolist() == \
         oracle_fisher_yates(key_bytes, n)
 

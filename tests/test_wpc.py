@@ -253,6 +253,11 @@ def test_batched_areas_match_area_by_area():
     assert got == expected
     # some area had dependent rows among those planned for it
     assert any((e.prefix < rows).any() for _, rows, _, e in areas.batches)
+    # areas of differing planned rows share a group of keyed rows, and
+    # the syndrome holds zeros past each area's planned rows
+    _, rows, syndrome, _ = areas.batches[0]
+    assert rows.min() < rows.max()
+    assert not syndrome[np.arange(syndrome.shape[1]) >= rows[:, None]].any()
 
 
 def test_batch_names_the_first_area_without_header_room():
