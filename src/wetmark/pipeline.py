@@ -91,13 +91,14 @@ def plan(img: BinaryImage, key: StegoKey) -> EmbedPlan:
                      flippability.compute_mask(img))
 
 
-def _plan_areas(img: BinaryImage, key: StegoKey, n_bits: int):
+def _plan_areas(img: BinaryImage, key: StegoKey, message=None):
     """Each area's pixel indices (one row each), the leftover pixel count
-    and the ``wpc.AreaPlan`` of ``n_bits`` over the areas."""
+    and the ``wpc.AreaPlan`` of ``message`` over the areas, or of their
+    capacity for None."""
     perm, idx = _shuffle(img, key)
     areas = wpc.AreaPlan(AreaCodec(key), wpc.pack_bits(np.take(img.bits, idx)),
                          np.take(flippability.compute_mask(img).flags, idx),
-                         n_bits)
+                         message)
     return idx, perm.size - idx.size, areas
 
 
@@ -112,16 +113,15 @@ def embed(img: BinaryImage, key: StegoKey,
           message: np.ndarray) -> tuple[BinaryImage, EmbedReport]:
     """Embed ``message`` (uint8 bit array) and return (stego, report)."""
     message = wpc.message_bits(message)
-    idx, leftover, areas = _plan_areas(img, key, len(message))
+    idx, leftover, areas = _plan_areas(img, key, message)
     embedded = int(areas.q_p.sum())
     if embedded < len(message):
         raise MessageTooLongError(
             f"capacity exhausted after {embedded} of {len(message)} bits")
-    flips = areas.embed(message)
     out_bits = img.bits.copy()
-    out_bits[idx[flips]] ^= 1
+    out_bits[idx[areas.flips]] ^= 1
     return (BinaryImage(img.width, img.height, out_bits),
-            _report(areas, leftover, flips.sum(axis=1).tolist()))
+            _report(areas, leftover, areas.flips.sum(axis=1).tolist()))
 
 
 def extract(img: BinaryImage, key: StegoKey) -> np.ndarray:
@@ -133,6 +133,5 @@ def extract(img: BinaryImage, key: StegoKey) -> np.ndarray:
 
 def capacity(img: BinaryImage, key: StegoKey) -> EmbedReport:
     """Capacity accounting without modifying any pixel."""
-    # more bits than any image holds: every area is planned on all its rows
-    _, leftover, areas = _plan_areas(img, key, img.width * img.height)
+    _, leftover, areas = _plan_areas(img, key)
     return _report(areas, leftover, [0] * len(areas.k))

@@ -21,6 +21,12 @@ AREA_SIZE = 4096
 # The keyed rows of consecutive areas are made one group per keystream
 # call: as many areas as fit in this many stream words (256 KB), at least one.
 HEADER_GROUP_WORDS = 1 << 15
+# A stack of areas is eliminated, solved and dropped at once: as many as
+# fit their restricted rows in this many words (4 MB), at least one. Not
+# HEADER_GROUP_WORDS, since no shared bound measured as well: 2^19 raised
+# the desk benchmark's peak RSS 11 %, 2^18 or less slowed dense covers at
+# capacity 13-33 %, and one grown with the image split paper-scale stacks.
+STACK_WORDS = 1 << 19
 
 
 class HeaderCapacityError(RuntimeError):
@@ -83,82 +89,84 @@ def restrict_columns(rows_words: np.ndarray, flippable: np.ndarray) -> np.ndarra
 
 
 class AreaPlan:
-    """``n_bits`` of message spread greedily over the areas, in order.
+    """The greedy spill of ``message`` over the areas in order, or with
+    no message the capacity of each area.
 
     Row i of ``flippable`` marks the k[i] flippable pixels of area i.
     Area i can carry up to ``prefix - hb`` payload bits, where prefix is
     the longest run of independent leading rows of its keyed matrix
-    restricted to those columns, and it carries ``q_p[i]`` of them. Rows
-    0..hb+q-1 are independent exactly when hb+q <= prefix, so ``embed``
-    solves the leading rows of those eliminated here.
+    restricted to those columns. It carries ``q_p[i]`` of them, the next
+    bits of ``message``, by flipping the pixels ``flips`` marks (None for
+    capacity; laid out like ``flippable``).
 
-    The areas are eliminated in ``batches`` of consecutive areas, each as
-    one stack of equal blocks: block i holds the rows planned for area i,
-    then zero rows, and so does its syndrome. A batch takes as many areas
-    as would hold the bits still to place if none of their rows were
-    dependent, plus one, and plans each on no more rows than its header
-    and those bits need. Once all bits are placed, a last batch plans the
-    remaining areas for their zero-length headers alone. With more bits
-    than the areas hold, one batch plans every area on all the rows it
-    could ever use, which is its capacity. Every area is eliminated
-    exactly once.
+    One loop plans, eliminates and solves stacks of consecutive areas,
+    each one ``gf2`` block stack: block i holds the rows planned for area
+    i, restricted to its flippable columns, then zero rows, and so does
+    its syndrome. While bits remain, a cut takes as many areas as would
+    hold them if none of their rows were dependent, plus one, and plans
+    each on no more rows than its header and those bits need; a last cut
+    plans the rest for their zero-length headers alone. For capacity, one
+    cut plans every area on all the rows it could use. A stack ends at a
+    cut or before it passes ``STACK_WORDS`` of restricted rows, and is
+    dropped once solved. An area's rows 0..hb+q-1 eliminate as they would
+    alone, so no output depends on where the stacks end.
 
-    A batch's keyed rows are made a group of consecutive areas at a time,
-    with one keystream call and one mat-vec for the syndromes per group.
-    A group holds as many areas as fit in ``HEADER_GROUP_WORDS`` stream
-    words at the largest row count planned among them, and at least one.
-    Rows an area gets past its planned count stay out of its block and
-    its syndrome. Each area's planned rows are then restricted to its
-    flippable columns on their own.
-
-    The areas share the key and size of ``codec``, the first area's, and
-    take the area indices after it.
+    A stack's keyed rows are made with one keystream call and one mat-vec
+    per group of areas within ``HEADER_GROUP_WORDS`` stream words; rows
+    past an area's planned count stay out of its block and syndrome. The
+    areas share the key and size of ``codec``, the first area's, and take
+    the area indices after it.
     """
 
-    def __init__(self, codec: AreaCodec, covers, flippable, n_bits: int):
+    def __init__(self, codec: AreaCodec, covers, flippable, message=None):
         self.codec = codec
         covers = np.asarray(covers)
         self.flippable = np.asarray(flippable, dtype=bool)
         self.k = self.flippable.sum(axis=1)
         self.area_index = codec.area_index + np.arange(len(self.k))
         self.q_p = np.zeros(len(self.k), dtype=np.int64)
-        self.batches = []  # (areas slice, planned rows, syndrome, Echelon)
+        self.flips = None if message is None else np.zeros_like(self.flippable)
         most = np.maximum(0, self.k - codec.header_bits)
-        start, left = 0, n_bits
+        # for capacity, one bit more than the areas could hold
+        left = int(most.sum()) + 1 if message is None else len(message)
+        rows, words = np.zeros_like(most), np.maximum(1, (self.k + 63) // 64)
+        start = cut = 0
         while start < len(self.k):
-            end = len(self.k)
-            if left:
-                need = np.searchsorted(np.cumsum(most[start:]), left)
-                end = min(end, start + int(need) + 2)
-            part = slice(start, end)
-            rows = codec.header_bits + np.minimum(most[part], left)
-            room = self._eliminate(part, covers[part], rows)
-            before = np.cumsum(room) - room
-            self.q_p[part] = np.clip(left - before, 0, room)
-            left -= int(self.q_p[part].sum())
+            if start == cut:
+                cut = len(self.k)
+                if left:
+                    need = np.searchsorted(np.cumsum(most[start:]), left)
+                    cut = min(cut, start + int(need) + 2)
+                rows[start:cut] = codec.header_bits + np.minimum(
+                    most[start:cut], left)
+            # the most areas whose restricted rows fit STACK_WORDS words
+            size = (np.arange(1, cut - start + 1) * np.maximum.accumulate(
+                rows[start:cut]) * np.maximum.accumulate(words[start:cut]))
+            end = start + max(1, np.searchsorted(size, STACK_WORDS, "right"))
+            left -= self._stack(slice(start, end), covers[start:end],
+                                rows[start:end], left, message)
             start = end
 
-    def _eliminate(self, part: slice, covers, rows: np.ndarray) -> np.ndarray:
-        """Eliminate the first rows[i] rows of each area in ``part`` as one
-        stack; returns the payload bits each area has room for."""
+    def _stack(self, part: slice, covers, rows, left: int, message) -> int:
+        """Eliminate rows[i] rows of each area of ``part``, set q_p from the
+        ``left`` bits to place and solve for ``message``; returns sum(q_p)."""
         words = max(1, (int(self.k[part].max(initial=0)) + 63) // 64)
         h_rows = np.zeros((len(rows), rows.max(), words), dtype=np.uint64)
-        syndrome = np.zeros(h_rows.shape[:2], dtype=np.uint8)
-        key, n = self.codec.key, self.codec.n
+        rhs = np.zeros(h_rows.shape[:2], dtype=np.uint8)  # the syndrome first
+        hb, key, n = self.codec.header_bits, self.codec.key, self.codec.n
         row_words = (n + 63) // 64
         areas, wet = self.area_index[part], self.flippable[part]
-        planned = rows.tolist()
-        start = 0
-        while start < len(planned):
+        planned, start = rows.tolist(), 0
+        while start < len(rows):
             # the most areas whose rows fit the bound at their largest height
             end = start + 1
-            while (end < len(planned) and (end + 1 - start) * row_words
+            while (end < len(rows) and (end + 1 - start) * row_words
                    * max(planned[start:end + 1]) <= HEADER_GROUP_WORDS):
                 end += 1
-            height = max(planned[start:end])
+            height = int(rows[start:end].max())
             d_words = prng.matrix_words(key, areas[start:end], height, n)
             d_words = d_words.reshape(end - start, height, row_words)
-            syndrome[start:end, :height] = gf2.mat_vec_words(
+            rhs[start:end, :height] = gf2.mat_vec_words(
                 d_words, covers[start:end, None])
             for i, d in enumerate(d_words, start):
                 restricted = restrict_columns(d[:planned[i]], wet[i])
@@ -166,42 +174,33 @@ class AreaPlan:
             start = end
         # clear the syndrome rows past an area's planned count, which a
         # taller area of its group made; its block holds zeros there
-        syndrome[np.arange(syndrome.shape[1]) >= rows[:, None]] = 0
+        row = np.arange(rhs.shape[1])
+        rhs[row >= rows[:, None]] = 0
         echelon = gf2.max_independent_prefix_words(
             h_rows.reshape(-1, words), len(rows))
-        prefix, hb = echelon.prefix, self.codec.header_bits
-        for i in np.flatnonzero(prefix < hb)[:1]:
+        room = echelon.prefix - hb
+        for i in np.flatnonzero(room < 0)[:1]:
             raise HeaderCapacityError(
-                f"area {self.area_index[part][i]}: only {prefix[i]} "
-                f"independent rows over {self.k[part][i]} flippable pixels, "
-                f"need {hb} for the header; {np.sum(prefix < hb)} of the "
-                f"{part.stop} areas eliminated so far lack room for it")
-        self.batches.append((part, rows, syndrome, echelon))
-        return prefix - hb
-
-    def embed(self, message: np.ndarray) -> np.ndarray:
-        """Which pixels to flip in every area, one boolean row each, laid
-        out like ``flippable``, so that area i carries the next q_p[i]
-        bits of ``message`` behind its header."""
-        hb, sent = self.codec.header_bits, 0
-        flips = np.zeros_like(self.flippable)
-        for part, _, syndrome, echelon in self.batches:
-            q_p, rhs = self.q_p[part], syndrome.copy()
-            header = (q_p[:, None] >> np.arange(hb - 1, -1, -1)) & 1  # big-endian
-            rhs[:, :hb] ^= header.astype(np.uint8)
-            # payload bit j of area i goes to row hb + j of its block
-            row, end = np.arange(rhs.shape[1]), sent + int(q_p.sum())
-            rhs[(hb <= row) & (row < hb + q_p[:, None])] ^= message[sent:end]
-            sent = end
-            v, consistent = echelon.solve(rhs.reshape(-1), hb + q_p)
-            if not consistent.all():
-                bad = self.area_index[part][np.argmin(consistent)]
-                raise RuntimeError(f"area {bad}: independent rows "
-                                   "gave an inconsistent system")
-            v_bits = unpack_bits(v, int(self.k[part].max()))
-            inside = np.arange(v_bits.shape[1]) < self.k[part][:, None]
-            flips[part][self.flippable[part]] = v_bits[inside]
-        return flips
+                f"area {areas[i]}: only {room[i] + hb} independent rows over "
+                f"{self.k[part][i]} flippable pixels, need {hb} for the "
+                f"header; {np.sum(room < 0)} of the {part.stop} areas "
+                "eliminated so far lack room for it")
+        q_p = self.q_p[part] = np.clip(left - np.cumsum(room) + room, 0, room)
+        if message is None:
+            return int(q_p.sum())
+        header = (q_p[:, None] >> np.arange(hb - 1, -1, -1)) & 1  # big-endian
+        rhs[:, :hb] ^= header.astype(np.uint8)
+        # payload bit j of area i goes to row hb + j of its block
+        bits = message[len(message) - left:][:q_p.sum()]  # after those sent
+        rhs[(hb <= row) & (row < hb + q_p[:, None])] ^= bits
+        v, consistent = echelon.solve(rhs.reshape(-1), hb + q_p)
+        if not consistent.all():
+            raise RuntimeError(f"area {areas[np.argmin(consistent)]}: "
+                               "independent rows gave an inconsistent system")
+        v_bits = unpack_bits(v, int(self.k[part].max()))
+        inside = np.arange(v_bits.shape[1]) < self.k[part][:, None]
+        self.flips[part][wet] = v_bits[inside]
+        return int(q_p.sum())
 
 
 def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
@@ -219,8 +218,8 @@ def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
         raise ValueError("flippable positions must lie in 0 .. n-1")
     wet = np.zeros((1, codec.n), dtype=bool)
     wet[0, flippable] = True
-    area = AreaPlan(codec, [cover_words], wet, len(message))
-    flips, q_p = area.embed(message)[0], int(area.q_p[0])
+    area = AreaPlan(codec, [cover_words], wet, message)
+    flips, q_p = area.flips[0], int(area.q_p[0])
     return AreaEmbedResult(cover_words ^ pack_bits(flips), q_p,
                            codec.header_bits + q_p, int(flips.sum())), q_p
 

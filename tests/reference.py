@@ -2,6 +2,8 @@
 
 They are the plain loops the library replaced with whole-array code, kept
 as oracles: the tests require the library to agree with them.
+``oracle_fisher_yates`` runs the keyed shuffle's swaps one by one, from
+its own SplitMix64 and FNV-1a.
 ``ColumnEchelon`` is the column-at-a-time elimination that ``gf2.Echelon``
 replaced with blocks of 8 columns, and ``pad_blocks`` lays ragged systems
 out as the stacked blocks of rows that both take. ``component_counts``
@@ -10,7 +12,10 @@ tests, and ``oracle_mask_flags`` builds the flippability mask from nine
 shifted copies of the image, one per window cell. The GF(2) helpers at
 the end hold rows as Python ints (bit j of a row int = column j);
 ``solve`` and ``max_independent_prefix`` among them are not oracles but
-thin adapters that run the library's word engine on such rows.
+thin adapters that run the library's word engine on such rows, while
+``oracle_solve`` eliminates on the ints alone. ``oracle_embed`` puts the
+shuffle, the mask, the keyed rows and that solve together into the whole
+embed, one area after another.
 """
 
 from __future__ import annotations
@@ -22,7 +27,41 @@ import numpy as np
 from wetmark import gf2
 from wetmark.bitmap import MAX_SIDE, BinaryImage, PbmError
 from wetmark.flippability import FLIP_TABLE
-from wetmark.prng import GAMMA, MASK64, StegoKey, matrix_words, mix64
+from wetmark.prng import GAMMA, MASK64, TAG_PERM, StegoKey, matrix_words, mix64
+
+
+# --- the keystream and the keyed shuffle, written out independently --------
+
+def oracle_splitmix(seed, count):
+    out = []
+    state = seed
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append((z ^ (z >> 31)) & MASK64)
+    return out
+
+
+def oracle_fnv(data):
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & MASK64
+    return h
+
+
+def oracle_fisher_yates(key_bytes, n):
+    """The keyed permutation of 0..n-1, its swaps run one by one in order."""
+    seed = mix64(oracle_fnv(key_bytes) ^ TAG_PERM)
+    words = oracle_splitmix(seed, n - 1)
+    arr = list(range(n))
+    t = 0
+    for i in range(n - 1, 0, -1):
+        j = words[t] % (i + 1)
+        arr[i], arr[j] = arr[j], arr[i]
+        t += 1
+    return arr
 
 
 class KeyedStream:
@@ -375,3 +414,86 @@ def max_independent_prefix(rows: list[int], cols: int | None = None) -> int:
         cols = max((r.bit_length() for r in rows), default=1)
     words = rows_to_words(rows, max(1, cols))
     return int(gf2.max_independent_prefix_words(words, 1).prefix[0])
+
+
+def oracle_solve(rows: list[int], rhs: list[int]) -> int | None:
+    """Solve M v = rhs over GF(2) on Python ints alone, or None if
+    inconsistent: pivots go to the lowest column first, and free variables
+    are 0.
+
+    Each row is reduced by the echelon rows kept so far, in the order they
+    were kept, and kept with its rhs bit unless it reduces to zero. The
+    kept rows' lowest columns are the pivots; back-substitution from the
+    highest of them sets each, with the other columns 0.
+    """
+    kept: list[tuple[int, int]] = []
+    for row, bit in zip(rows, rhs):
+        for pivot, pivot_bit in kept:
+            if row & pivot & -pivot:
+                row ^= pivot
+                bit ^= pivot_bit
+        if row:
+            kept.append((row, bit))
+        elif bit:
+            return None
+    v = 0
+    for row, bit in sorted(kept, key=lambda rb: rb[0] & -rb[0], reverse=True):
+        if bit ^ ((row & v).bit_count() & 1):
+            v |= row & -row
+    return v
+
+
+# --- the whole pipeline, one area at a time -----------------------------------
+
+def oracle_embed(img: BinaryImage, key_bytes: bytes, message, n: int = 4096):
+    """``pipeline.embed`` from the pieces above: the stego bits and each
+    area's (k, q_p, flips), or None when some area lacks room for its
+    header.
+
+    The pixels are shuffled by ``oracle_fisher_yates`` and cut into areas
+    of n; ``oracle_mask_flags`` marks the flippable ones. Greedy spill:
+    each area in turn carries as many of the bits left as its keyed rows,
+    restricted to its flippable pixels, stay independent behind its
+    big-endian length header, and ``oracle_solve`` finds its flips.
+    """
+    hb = (n - 1).bit_length()
+    key = StegoKey(key_bytes)
+    perm = oracle_fisher_yates(key_bytes, img.width * img.height)
+    flags = oracle_mask_flags(img).tolist()
+    bits = img.bits.tolist()
+    out = list(bits)
+    message = [int(b) for b in message]
+    records, sent = [], 0
+    for area in range(len(perm) // n):
+        pixels = perm[area * n:(area + 1) * n]
+        cover = sum(bits[p] << j for j, p in enumerate(pixels))
+        cols = [j for j, p in enumerate(pixels) if flags[p]]
+        left = len(message) - sent
+        rows = matrix_rows(key, area, hb + min(left, max(0, len(cols) - hb)),
+                           n)
+        restricted = []
+        for row in rows:
+            text = format(row, f"0{n}b")[::-1]  # column j at index j
+            restricted.append(int("".join(text[c] for c in cols)[::-1] or "0",
+                                  2))
+        basis: list[int] = []  # the longest independent prefix, reduced
+        for row in restricted:
+            row = _reduce(row, basis)
+            if not row:
+                break
+            basis.append(row)
+        prefix = len(basis)
+        if prefix < hb:
+            return None
+        q = min(left, prefix - hb)
+        wanted = [(q >> (hb - 1 - i)) & 1 for i in range(hb)]
+        wanted += message[sent:sent + q]
+        rhs = [((row & cover).bit_count() & 1) ^ b
+               for row, b in zip(rows, wanted)]
+        v = oracle_solve(restricted[:hb + q], rhs)
+        flipped = [pixels[c] for j, c in enumerate(cols) if (v >> j) & 1]
+        for p in flipped:
+            out[p] ^= 1
+        records.append((len(cols), q, len(flipped)))
+        sent += q
+    return np.array(out, dtype=np.uint8), records, sent

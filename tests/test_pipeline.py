@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wetmark as wm
 from wetmark import flippability, prng, wpc
@@ -11,7 +12,12 @@ from wetmark.prng import StegoKey
 from wetmark.wpc import AREA_SIZE, AreaCodec, HeaderCapacityError
 
 from conftest import synth_image
-from reference import oracle_extract_area, words_to_int
+from reference import (
+    oracle_embed,
+    oracle_extract_area,
+    oracle_mask_flags,
+    words_to_int,
+)
 
 KEY = StegoKey(b"pipeline-key")
 
@@ -215,6 +221,23 @@ def test_dense_cover_memory_per_pixel():
     assert peak <= 125 * n
 
 
+def test_dense_desk_cover_memory_per_pixel():
+    """At desk scale the planning keeps one bounded stack of areas at a
+    time, not every area's rows: capacity, and embed at capacity, of an
+    iid 1024x1024 cover (256 areas of k near 900) stay within 38 B/pixel.
+    Kept at this size: at 512x512 the permutation's share of the peak
+    would hide the stacks'."""
+    n = 1024 * 1024
+    bits = np.random.default_rng(42).integers(0, 2, n, dtype=np.uint8)
+    img = BinaryImage(1024, 1024, bits)
+    report, peak = _traced_peak(wm.capacity, img, KEY)
+    assert report.n_areas == 256 and report.n_flippable > 200_000
+    assert peak <= 38 * n
+    message = np.ones(report.n_embedded, dtype=np.uint8)
+    _, peak = _traced_peak(wm.embed, img, KEY, message)
+    assert peak <= 38 * n
+
+
 def test_extract_too_small():
     img = synth_image(32, 32, 12)
     with pytest.raises(ImageTooSmallError):
@@ -259,7 +282,8 @@ def test_embed_makes_keyed_rows_a_group_of_areas_at_a_time(monkeypatch, rng):
     keystream call per group, bounded by ``HEADER_GROUP_WORDS``. The stego,
     the report and the capacity do not depend on the bound: down to one
     area per group, the work of making each area's rows on its own, and up
-    to whole stacks, whose areas plan different row counts. The areas that
+    to whole stacks, whose areas plan different row counts. Nor do they
+    depend on ``STACK_WORDS``, down to one area per stack. The areas that
     carry only their header take one call per group of them."""
     hb_words = 12 * (AREA_SIZE // 64)  # header stream words of one area
     img = synth_image(420, 420, 21)
@@ -267,8 +291,9 @@ def test_embed_makes_keyed_rows_a_group_of_areas_at_a_time(monkeypatch, rng):
     keyed_rows = prng.matrix_words
     runs = []
     whole = 43 * AREA_SIZE * (AREA_SIZE // 64)  # every stack in one group
-    for group_words in (wpc.HEADER_GROUP_WORDS, 3 * hb_words, hb_words,
-                        whole):
+    for group_words, stack_words in [
+            (wpc.HEADER_GROUP_WORDS, wpc.STACK_WORDS), (3 * hb_words, None),
+            (hb_words, None), (whole, None), (wpc.HEADER_GROUP_WORDS, 1)]:
         calls = []
 
         def counted(key, areas, rows, *args, **kwargs):
@@ -276,16 +301,18 @@ def test_embed_makes_keyed_rows_a_group_of_areas_at_a_time(monkeypatch, rng):
             return keyed_rows(key, areas, rows, *args, **kwargs)
 
         monkeypatch.setattr(wpc, "HEADER_GROUP_WORDS", group_words)
+        if stack_words is not None:
+            monkeypatch.setattr(wpc, "STACK_WORDS", stack_words)
         monkeypatch.setattr(prng, "matrix_words", counted)
         stego, report = wm.embed(img, KEY, message)
         assert sum(size for size, _ in calls) == report.n_areas == 43
         header_only = [size for size, rows in calls if rows == 12]
         assert sum(header_only) >= 30
-        assert len(header_only) == -(-sum(header_only)
-                                     // (group_words // hb_words))
+        per_call = 1 if stack_words == 1 else group_words // hb_words
+        assert len(header_only) == -(-sum(header_only) // per_call)
         runs.append((stego.bits.tobytes(), report.to_json(),
                      wm.capacity(img, KEY).to_json()))
-    assert runs[1:] == runs[:1] * 3
+    assert runs[1:] == runs[:1] * 4
     assert np.array_equal(wm.extract(stego, KEY), message)
 
 
@@ -308,3 +335,41 @@ def test_extract_makes_every_row_through_matrix_words(monkeypatch, rng):
     monkeypatch.setattr(prng, "matrix_words", counted)
     assert np.array_equal(wm.extract(stego, KEY), message)
     assert sum(made) == report.n_areas * 12 + report.n_embedded
+
+
+@given(st.integers(1, 3), st.sampled_from([64, 93, 128]),
+       st.sampled_from([0.0002, 0.004, 0.008, 0.015]),
+       st.integers(0, 2**32 - 1), st.binary(min_size=1, max_size=4),
+       st.floats(0, 1.05))
+@settings(max_examples=40, deadline=None)
+def test_embed_matches_the_whole_pipeline_oracle(n_areas, width, density,
+                                                 seed, key, fill):
+    """Toy images of one to three areas, some with leftover pixels: the
+    stego and each area's (k, q_p, flips) are those of ``oracle_embed``,
+    built from the sequential shuffle, the nine-shift mask, the keyed rows
+    and a Python-int solve, however the stacks are cut: at the default
+    ``STACK_WORDS`` and at one area per stack. The message fills up to a
+    little past the flippable pixels the headers leave; a cover with an
+    area without header room, and a message over capacity, raise."""
+    height = -(-n_areas * AREA_SIZE // width)
+    r = np.random.default_rng(seed)
+    img = BinaryImage(width, height,
+                      (r.random(width * height) < density).astype(np.uint8))
+    room = int(oracle_mask_flags(img).sum()) - 12 * n_areas
+    message = r.integers(0, 2, int(fill * max(0, room)), dtype=np.uint8)
+    expected = oracle_embed(img, key, message)
+    for stack_words in (wpc.STACK_WORDS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wpc, "STACK_WORDS", stack_words)
+            if expected is None:
+                with pytest.raises(HeaderCapacityError):
+                    wm.embed(img, StegoKey(key), message)
+                continue
+            stego_bits, per_area, embedded = expected
+            if embedded < len(message):
+                with pytest.raises(MessageTooLongError):
+                    wm.embed(img, StegoKey(key), message)
+                continue
+            stego, report = wm.embed(img, StegoKey(key), message)
+        assert np.array_equal(stego.bits, stego_bits)
+        assert [(a.k, a.q_p, a.flips) for a in report.per_area] == per_area

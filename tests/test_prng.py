@@ -19,30 +19,15 @@ from wetmark.prng import (
     stream_words,
 )
 
-from reference import KeyedStream, matrix_rows
+from reference import (
+    KeyedStream,
+    matrix_rows,
+    oracle_fisher_yates,
+    oracle_fnv,
+    oracle_splitmix,
+)
 
 MASK = (1 << 64) - 1
-
-
-# --- independent oracle implementations (kept separate on purpose) --------
-
-def oracle_splitmix(seed, count):
-    out = []
-    state = seed
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & MASK
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        out.append((z ^ (z >> 31)) & MASK)
-    return out
-
-
-def oracle_fnv(data):
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & MASK
-    return h
 
 
 def test_splitmix_published_vector():
@@ -120,18 +105,6 @@ def test_key_from_text():
 
 def test_permutation_trivial():
     assert permutation(StegoKey(b"k"), 1).tolist() == [0]
-
-
-def oracle_fisher_yates(key_bytes, n):
-    seed = mix64(oracle_fnv(key_bytes) ^ TAG_PERM)
-    words = oracle_splitmix(seed, n - 1)
-    arr = list(range(n))
-    t = 0
-    for i in range(n - 1, 0, -1):
-        j = words[t] % (i + 1)
-        arr[i], arr[j] = arr[j], arr[i]
-        t += 1
-    return arr
 
 
 def test_permutation_matches_independent_fisher_yates():

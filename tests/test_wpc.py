@@ -230,8 +230,8 @@ def _flippable(masks, n=16):
     return rows
 
 
-def test_batched_areas_match_area_by_area():
-    """Areas planned in batches embed exactly as they do one at a time."""
+def test_batched_areas_match_area_by_area(monkeypatch):
+    """Areas planned in stacks embed exactly as they do one at a time."""
     rng = np.random.default_rng(21)
     codecs, covers, masks = _toy_areas(rng, (12, 6, 9, 16, 5, 10, 7))
     msg = rng.integers(0, 2, 20).astype(np.uint8)
@@ -242,22 +242,54 @@ def test_batched_areas_match_area_by_area():
         pos += used
     assert pos == len(msg)
 
-    areas = AreaPlan(codecs[0], covers, _flippable(masks), len(msg))
-    assert len(areas.batches) > 1  # payload areas, then header-only ones
+    # Observed from outside: each area's planned rows as they are
+    # restricted, each group's areas as their keyed rows are made, and
+    # each stack as it is eliminated and solved.
+    planned, groups, stacks, solves = [], [], [], []
+    restrict, keyed_rows = wpc.restrict_columns, wpc.prng.matrix_words
+    eliminate, solve = gf2.max_independent_prefix_words, gf2.Echelon.solve
+
+    def restricted(rows, flippable):
+        planned.append(len(rows))
+        return restrict(rows, flippable)
+
+    def made(key, areas, *args, **kwargs):
+        groups.append(np.size(areas))
+        return keyed_rows(key, areas, *args, **kwargs)
+
+    def eliminated(rows, count):
+        echelon = eliminate(rows, count)
+        stacks.append(echelon.prefix)
+        return echelon
+
+    def solved(self, rhs, use):
+        solves.append(rhs.reshape(len(self.prefix), -1).copy())
+        return solve(self, rhs, use)
+
+    monkeypatch.setattr(wpc, "restrict_columns", restricted)
+    monkeypatch.setattr(wpc.prng, "matrix_words", made)
+    monkeypatch.setattr(gf2, "max_independent_prefix_words", eliminated)
+    monkeypatch.setattr(gf2.Echelon, "solve", solved)
+    areas = AreaPlan(codecs[0], covers, _flippable(masks), msg)
+    assert len(stacks) == len(solves) > 1  # payload areas, then header-only ones
     got = []
-    for codec, q, flip_at in zip(codecs, areas.q_p.tolist(), areas.embed(msg)):
+    for codec, q, flip_at in zip(codecs, areas.q_p.tolist(), areas.flips):
         delta = np.zeros(codec.n, dtype=np.uint8)
         delta[flip_at] = 1
         modified = covers[codec.area_index] ^ pack_bits(delta)
         got.append((q, modified.tolist()))
     assert got == expected
     # some area had dependent rows among those planned for it
-    assert any((e.prefix < rows).any() for _, rows, _, e in areas.batches)
-    # areas of differing planned rows share a group of keyed rows, and
-    # the syndrome holds zeros past each area's planned rows
-    _, rows, syndrome, _ = areas.batches[0]
-    assert rows.min() < rows.max()
-    assert not syndrome[np.arange(syndrome.shape[1]) >= rows[:, None]].any()
+    assert (np.concatenate(stacks) < planned).any()
+    # the right-hand side of each stack holds zeros past each area's
+    # planned rows
+    start = 0
+    for rhs in solves:
+        rows = np.array(planned[start:start + len(rhs)])
+        assert not rhs[np.arange(rhs.shape[1]) >= rows[:, None]].any()
+        start += len(rhs)
+    # areas of differing planned rows share a group of keyed rows
+    assert min(planned[:groups[0]]) < max(planned[:groups[0]])
 
 
 def test_batch_names_the_first_area_without_header_room():
@@ -268,24 +300,30 @@ def test_batch_names_the_first_area_without_header_room():
         with pytest.raises(HeaderCapacityError):
             embed_area(covers[area], masks[area], codecs[area], msg)
     with pytest.raises(HeaderCapacityError, match="^area 2:"):
-        AreaPlan(codecs[0], covers, _flippable(masks),
-                 sum(len(m) for m in masks))
+        AreaPlan(codecs[0], covers, _flippable(masks))  # capacity
     with pytest.raises(HeaderCapacityError, match="^area 4:"):
-        AreaPlan(codecs[3], covers[3:], _flippable(masks[3:]), len(msg))
+        AreaPlan(codecs[3], covers[3:], _flippable(masks[3:]), msg)
 
 
-def test_header_error_counts_the_areas_without_room():
+def test_header_error_counts_the_areas_without_room(monkeypatch):
     """Areas 2 (k = 0) and 4 (k = 3 < 4 header bits) cannot hold a header;
-    the error counts those among the areas eliminated so far."""
+    the error counts those among the areas eliminated so far, and the
+    first stack that holds one raises."""
     rng = np.random.default_rng(22)
     codecs, covers, masks = _toy_areas(rng, (10, 12, 0, 9, 3))
     with pytest.raises(HeaderCapacityError, match=(
             r"^area 2: .*; 2 of the 5 areas eliminated so far lack room")):
-        AreaPlan(codecs[0], covers, _flippable(masks), 34)  # one batch
-    # one bit to place: a first batch of areas 1 and 2, and area 4 unseen
+        AreaPlan(codecs[0], covers, _flippable(masks))  # capacity, one stack
+    # one bit to place: a first stack of areas 1 and 2, and area 4 unseen
     with pytest.raises(HeaderCapacityError, match=(
             r"^area 2: .*; 1 of the 2 areas eliminated so far lack room")):
-        AreaPlan(codecs[1], covers[1:], _flippable(masks[1:]), 1)
+        AreaPlan(codecs[1], covers[1:], _flippable(masks[1:]),
+                 np.ones(1, dtype=np.uint8))
+    # one area a stack: the third stack raises, and areas 3 and 4 are unseen
+    monkeypatch.setattr(wpc, "STACK_WORDS", 1)
+    with pytest.raises(HeaderCapacityError, match=(
+            r"^area 2: .*; 1 of the 3 areas eliminated so far lack room")):
+        AreaPlan(codecs[0], covers, _flippable(masks))
 
 
 def test_inconsistent_area_system_raises(monkeypatch):
