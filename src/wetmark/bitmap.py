@@ -32,6 +32,16 @@ class PbmError(ValueError):
     """Malformed PBM input."""
 
 
+def _check_size(width: int, height: int, error: type[ValueError]) -> None:
+    """Raise ``error`` unless a width x height image is within the caps."""
+    if width < 1 or height < 1:
+        raise error("non-positive dimensions")
+    if width > MAX_SIDE or height > MAX_SIDE:
+        raise error(f"dimensions exceed {MAX_SIDE}")
+    if width * height > MAX_PIXELS:
+        raise error(f"image exceeds {MAX_PIXELS} pixels")
+
+
 @dataclass(frozen=True)
 class BinaryImage:
     """Immutable 1-bit image; ``bits`` is flat, raster order, uint8 of 0/1."""
@@ -41,12 +51,7 @@ class BinaryImage:
     bits: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("dimensions must be positive")
-        if self.width > MAX_SIDE or self.height > MAX_SIDE:
-            raise ValueError(f"dimensions exceed {MAX_SIDE}")
-        if self.width * self.height > MAX_PIXELS:
-            raise ValueError(f"image exceeds {MAX_PIXELS} pixels")
+        _check_size(self.width, self.height, ValueError)
         bits = np.asarray(self.bits)
         if bits.shape != (self.width * self.height,):
             raise ValueError("bits length must equal width*height")
@@ -131,12 +136,7 @@ def parse_pbm(data) -> BinaryImage:
         width, height = map(int, tokens)
     except ValueError:
         raise PbmError("non-numeric dimensions") from None
-    if width < 1 or height < 1:
-        raise PbmError("non-positive dimensions")
-    if width > MAX_SIDE or height > MAX_SIDE:
-        raise PbmError(f"dimensions exceed {MAX_SIDE}")
-    if width * height > MAX_PIXELS:
-        raise PbmError(f"image exceeds {MAX_PIXELS} pixels")
+    _check_size(width, height, PbmError)
 
     if magic == b"P1":
         return _parse_p1(data, body_off, width, height)

@@ -51,6 +51,9 @@ class Echelon:
     gather from each system's table of the 256 combinations of those 8
     rows, and one XOR, reduce every word from the block's on. ``solve``
     replays a block at once from the received sets it keeps.
+
+    ``prefix[i]`` is the largest p such that rows 0..p-1 of system i are
+    linearly independent: the first of its rows that never pivots.
     """
 
     def __init__(self, rows: np.ndarray, count: int):
@@ -62,6 +65,7 @@ class Echelon:
         # a copy, C-ordered: the caller's rows are never eliminated in place
         h = rows.reshape(count, height, words).transpose(2, 1, 0).copy()
         systems = np.arange(count)
+        pivoted = np.zeros((height + 1, count), dtype=bool)
         # One record per block in which some system pivots: (top, first
         # column, pivot rows and whether they pivot (8, systems), the
         # pivots' received sets, those of the rows from top on, and the
@@ -91,6 +95,7 @@ class Echelon:
             if not found.any():
                 continue
             first += top
+            pivoted[first[found], found.nonzero()[1]] = True
             # every combination s of the pivot rows, at s*count + system
             base = h[w:, first, systems]
             table = np.zeros((words - w, 256, count), dtype=np.uint64)
@@ -106,10 +111,6 @@ class Echelon:
                                 np.ascontiguousarray(received),
                                 np.take(table, sets * np.intp(count) + systems,
                                         axis=1)))
-        # the longest prefix of rows that are independent
-        pivoted = np.zeros((height + 1, count), dtype=bool)
-        for _, _, first, found, *_ in self.blocks:
-            pivoted[first[found], found.nonzero()[1]] = True
         self.prefix = np.argmin(pivoted, axis=0)
 
     def solve(self, rhs_bits: np.ndarray, use) -> tuple[np.ndarray, np.ndarray]:
@@ -159,13 +160,9 @@ class Echelon:
         return np.ascontiguousarray(v.T), consistent
 
 
-def max_independent_prefix_words(rows: np.ndarray, count: int) -> Echelon:
-    """Eliminate ``count`` stacked blocks of rows once, one system each.
-
-    ``.prefix[i]`` of the result is the largest p such that rows 0..p-1 of
-    system i are linearly independent, and ``.solve`` reuses the work.
-    """
-    return Echelon(rows, count)
+# Read only by perfbench/tracer.py, which times the elimination under this
+# name; it wraps ``Echelon`` wherever held, ``gf2.Echelon`` included.
+max_independent_prefix_words = Echelon
 
 
 def solve_words(rows: np.ndarray, rhs_bits: np.ndarray) -> np.ndarray | None:

@@ -82,6 +82,13 @@ def message_bits(message) -> np.ndarray:
     return bits.astype(np.uint8, copy=False)
 
 
+def _check_width(words, n: int) -> None:
+    """Refuse packed vectors that are not ceil(n/64) words wide."""
+    if np.shape(words)[-1:] != ((n + 63) // 64,):
+        raise ValueError(f"an area of {n} bits packs into {(n + 63) // 64} "
+                         f"words, got shape {np.shape(words)}")
+
+
 def restrict_columns(rows_words: np.ndarray, flippable: np.ndarray) -> np.ndarray:
     """Rows of D restricted to the columns ``flippable`` marks, re-packed."""
     bits = unpack_bits(rows_words, len(flippable))
@@ -112,10 +119,10 @@ class AreaPlan:
     alone, so no output depends on where the stacks end.
 
     A stack's keyed rows are made with one keystream call and one mat-vec
-    per group of areas within ``HEADER_GROUP_WORDS`` stream words; rows
-    past an area's planned count stay out of its block and syndrome. The
-    areas share the key and size of ``codec``, the first area's, and take
-    the area indices after it.
+    per group of as many areas as fit ``HEADER_GROUP_WORDS`` stream words
+    at the stack's tallest planned rows; rows past an area's planned count
+    stay out of its block and syndrome. The areas share the key and size
+    of ``codec``, the first area's, and take the area indices after it.
     """
 
     def __init__(self, codec: AreaCodec, covers, flippable, message=None):
@@ -156,28 +163,21 @@ class AreaPlan:
         hb, key, n = self.codec.header_bits, self.codec.key, self.codec.n
         row_words = (n + 63) // 64
         areas, wet = self.area_index[part], self.flippable[part]
-        planned, start = rows.tolist(), 0
-        while start < len(rows):
-            # the most areas whose rows fit the bound at their largest height
-            end = start + 1
-            while (end < len(rows) and (end + 1 - start) * row_words
-                   * max(planned[start:end + 1]) <= HEADER_GROUP_WORDS):
-                end += 1
-            height = int(rows[start:end].max())
-            d_words = prng.matrix_words(key, areas[start:end], height, n)
-            d_words = d_words.reshape(end - start, height, row_words)
-            rhs[start:end, :height] = gf2.mat_vec_words(
-                d_words, covers[start:end, None])
+        group = max(1, HEADER_GROUP_WORDS // (row_words * h_rows.shape[1]))
+        for start in range(0, len(rows), group):
+            g = slice(start, start + group)
+            height = int(rows[g].max())
+            d_words = prng.matrix_words(key, areas[g], height, n)
+            d_words = d_words.reshape(-1, height, row_words)
+            rhs[g, :height] = gf2.mat_vec_words(d_words, covers[g, None])
             for i, d in enumerate(d_words, start):
-                restricted = restrict_columns(d[:planned[i]], wet[i])
-                h_rows[i, :planned[i], :restricted.shape[1]] = restricted
-            start = end
+                restricted = restrict_columns(d[:rows[i]], wet[i])
+                h_rows[i, :rows[i], :restricted.shape[1]] = restricted
         # clear the syndrome rows past an area's planned count, which a
         # taller area of its group made; its block holds zeros there
         row = np.arange(rhs.shape[1])
         rhs[row >= rows[:, None]] = 0
-        echelon = gf2.max_independent_prefix_words(
-            h_rows.reshape(-1, words), len(rows))
+        echelon = gf2.Echelon(h_rows.reshape(-1, words), len(rows))
         room = echelon.prefix - hb
         for i in np.flatnonzero(room < 0)[:1]:
             raise HeaderCapacityError(
@@ -213,6 +213,7 @@ def embed_area(cover_words: np.ndarray, flippable: np.ndarray,
     bit sequence.
     """
     message = message_bits(message)
+    _check_width(cover_words, codec.n)
     positions = np.asarray(flippable)
     if ((positions < 0) | (positions >= codec.n)).any():
         raise ValueError("flippable positions must lie in 0 .. n-1")
@@ -236,6 +237,7 @@ def extract_area(received_words: np.ndarray, codec: AreaCodec) -> np.ndarray:
     and multiply their payload rows, one by one.
     """
     hb, n, key = codec.header_bits, codec.n, codec.key
+    _check_width(received_words, n)
     words = np.atleast_2d(received_words)
     areas = range(codec.area_index, codec.area_index + len(words))
     weights = 1 << np.arange(hb - 1, -1, -1)  # the header is big-endian

@@ -3,7 +3,8 @@
 They are the plain loops the library replaced with whole-array code, kept
 as oracles: the tests require the library to agree with them.
 ``oracle_fisher_yates`` runs the keyed shuffle's swaps one by one, from
-its own SplitMix64 and FNV-1a.
+its own SplitMix64 and FNV-1a, and ``matrix_rows`` makes the keyed rows
+from the same two, so neither calls ``wetmark.prng``'s keystream.
 ``ColumnEchelon`` is the column-at-a-time elimination that ``gf2.Echelon``
 replaced with blocks of 8 columns, and ``pad_blocks`` lays ragged systems
 out as the stacked blocks of rows that both take. ``component_counts``
@@ -27,21 +28,31 @@ import numpy as np
 from wetmark import gf2
 from wetmark.bitmap import MAX_SIDE, BinaryImage, PbmError
 from wetmark.flippability import FLIP_TABLE
-from wetmark.prng import GAMMA, MASK64, TAG_PERM, StegoKey, matrix_words, mix64
+from wetmark.prng import MASK64, TAG_MATR, TAG_PERM, StegoKey
 
 
 # --- the keystream and the keyed shuffle, written out independently --------
 
+GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+
+
+def oracle_mix(z):
+    """SplitMix64's output function, on a uint64 array or one int."""
+    z = np.asarray(z, dtype=np.uint64)
+    with np.errstate(over="ignore"):  # products wrap mod 2**64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return z if z.ndim else int(z)
+
+
 def oracle_splitmix(seed, count):
-    out = []
-    state = seed
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        out.append((z ^ (z >> 31)) & MASK64)
-    return out
+    """Outputs 1..count of the SplitMix64 stream started at ``seed``:
+    output i is the mix of seed + i * GOLDEN."""
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        state = np.uint64(seed) + steps * np.uint64(GOLDEN)
+    return oracle_mix(state).tolist()
 
 
 def oracle_fnv(data):
@@ -53,7 +64,7 @@ def oracle_fnv(data):
 
 def oracle_fisher_yates(key_bytes, n):
     """The keyed permutation of 0..n-1, its swaps run one by one in order."""
-    seed = mix64(oracle_fnv(key_bytes) ^ TAG_PERM)
+    seed = oracle_mix(oracle_fnv(key_bytes) ^ TAG_PERM)
     words = oracle_splitmix(seed, n - 1)
     arr = list(range(n))
     t = 0
@@ -71,14 +82,23 @@ class KeyedStream:
         self.state = seed & MASK64
 
     def next_word(self) -> int:
-        self.state = (self.state + GAMMA) & MASK64
-        return mix64(self.state)
+        self.state = (self.state + GOLDEN) & MASK64
+        return oracle_mix(self.state)
 
 
 def matrix_rows(key: StegoKey, area: int, rows: int, cols: int) -> list[int]:
-    """Rows as Python ints (bit j of the int = column j)."""
-    words = matrix_words(key, area, rows, cols)
-    return [int.from_bytes(words[r].tobytes(), "little") for r in range(rows)]
+    """Rows as Python ints (bit j of the int = column j).
+
+    The area's stream is seeded with the mix of the key's FNV-1a digest,
+    the matrix tag and area * GOLDEN; row r is its words r*w .. r*w+w-1,
+    w = ceil(cols/64), least significant first, cut to ``cols`` bits.
+    """
+    seed = oracle_mix(oracle_fnv(key.key_bytes) ^ TAG_MATR
+                      ^ ((area * GOLDEN) & MASK64))
+    w = -(-cols // 64)
+    data = np.array(oracle_splitmix(seed, rows * w), dtype="<u8").tobytes()
+    return [int.from_bytes(data[8 * w * r:8 * w * (r + 1)], "little")
+            & ((1 << cols) - 1) for r in range(rows)]
 
 
 def oracle_extract_area(received: int, key: StegoKey, area: int,

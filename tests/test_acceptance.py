@@ -228,7 +228,8 @@ def test_criterion_8_determinism_and_interop():
 
 
 def test_criterion_9_desk_scale_performance():
-    # Warm-up embeds a small image first so JIT compilation is not timed.
+    # A small embed and extract first, so one-time costs of a first call
+    # (lazy imports, first allocations) stay out of the timed runs.
     rng = np.random.default_rng(909)
     key = StegoKey(b"speed")
     warm = synth_image(64, 64, 90)

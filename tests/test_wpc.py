@@ -247,7 +247,7 @@ def test_batched_areas_match_area_by_area(monkeypatch):
     # each stack as it is eliminated and solved.
     planned, groups, stacks, solves = [], [], [], []
     restrict, keyed_rows = wpc.restrict_columns, wpc.prng.matrix_words
-    eliminate, solve = gf2.max_independent_prefix_words, gf2.Echelon.solve
+    eliminate, solve = gf2.Echelon, gf2.Echelon.solve
 
     def restricted(rows, flippable):
         planned.append(len(rows))
@@ -268,8 +268,9 @@ def test_batched_areas_match_area_by_area(monkeypatch):
 
     monkeypatch.setattr(wpc, "restrict_columns", restricted)
     monkeypatch.setattr(wpc.prng, "matrix_words", made)
-    monkeypatch.setattr(gf2, "max_independent_prefix_words", eliminated)
+    # solve first: once gf2.Echelon is the wrapper, it names no class
     monkeypatch.setattr(gf2.Echelon, "solve", solved)
+    monkeypatch.setattr(gf2, "Echelon", eliminated)
     areas = AreaPlan(codecs[0], covers, _flippable(masks), msg)
     assert len(stacks) == len(solves) > 1  # payload areas, then header-only ones
     got = []
@@ -348,7 +349,7 @@ def test_embed_area_rejects_non_bit_messages(monkeypatch, message):
     def unreachable(*args):
         raise AssertionError("eliminated for a message that is not bits")
 
-    monkeypatch.setattr(gf2, "max_independent_prefix_words", unreachable)
+    monkeypatch.setattr(gf2, "Echelon", unreachable)
     cover, mask = rand_area(np.random.default_rng(24), toy_codec(), 10)
     with pytest.raises(ValueError,
                        match="^message must be a 1-D array of 0/1 bits$"):
@@ -363,11 +364,29 @@ def test_embed_area_rejects_positions_outside_the_area(monkeypatch,
     def unreachable(*args):
         raise AssertionError("eliminated for positions outside the area")
 
-    monkeypatch.setattr(gf2, "max_independent_prefix_words", unreachable)
+    monkeypatch.setattr(gf2, "Echelon", unreachable)
     cover = np.random.default_rng(25).integers(0, 2, 16).astype(np.uint8)
     with pytest.raises(ValueError, match="0 .. n-1"):
         embed_area(pack_bits(cover), flippable, toy_codec(),
                    np.ones(3, np.uint8))
+
+
+@pytest.mark.parametrize("words", [
+    np.zeros(1, np.uint64), np.zeros(65, np.uint64), np.zeros(4096, np.uint8)],
+    ids=["too_few_words", "too_many_words", "unpacked_bits"])
+def test_packed_vectors_of_the_wrong_width_are_refused(monkeypatch, words):
+    """A 4096-pixel area packs into 64 words. Other widths used to
+    broadcast against the keyed rows; they are refused before any
+    keystream is made."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("keyed rows made for a vector of the wrong width")
+
+    monkeypatch.setattr(wpc.prng, "matrix_words", unreachable)
+    codec, refused = AreaCodec(StegoKey(b"width")), "^an area of 4096 bits"
+    with pytest.raises(ValueError, match=refused + " packs into 64 words"):
+        extract_area(words, codec)
+    with pytest.raises(ValueError, match=refused + " packs into 64 words"):
+        embed_area(words, np.arange(100), codec, np.ones(3, np.uint8))
 
 
 @pytest.mark.parametrize("n", [16, 100, 200])
