@@ -132,10 +132,10 @@ def parse_pbm(data) -> BinaryImage:
         if body_off - start > _MAX_TOKEN:
             raise PbmError(f"dimension token longer than {_MAX_TOKEN} bytes")
         tokens.append(data[start:body_off])
-    try:
-        width, height = map(int, tokens)
-    except ValueError:
-        raise PbmError("non-numeric dimensions") from None
+    # ASCII digits only: int() alone would take a sign or an underscore
+    if not all(token.isdigit() for token in tokens):
+        raise PbmError("non-numeric dimensions")
+    width, height = map(int, tokens)
     _check_size(width, height, PbmError)
 
     if magic == b"P1":

@@ -1,8 +1,9 @@
 """Command-line front end: embed, extract, capacity, analyze.
 
-Exit codes: 0 success, 2 capacity failure (message too long or an area
-cannot hold a header), 3 parse/IO error, 4 usage error (a malformed
-``--key`` included).
+Exit codes: 0 success, 2 capacity failure (message too long, an area
+cannot hold a header, or an image under 4096 pixels or with a side under
+3), 3 parse/IO error (``analyze`` of an image under 3x3 included), 4
+usage error (a malformed ``--key`` included).
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ def _read_image(path: str) -> tuple[BinaryImage, str]:
 
 
 def _run(args) -> int:
+    img, variant = _read_image(args.inp)
     if args.command == "embed":
-        img, variant = _read_image(args.inp)
         with open(args.msg, "rb") as fh:
             message = np.unpackbits(np.frombuffer(fh.read(), dtype=np.uint8))
         stego, report = pipeline.embed(img, args.key, message)
@@ -101,7 +102,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "extract":
-        img, _ = _read_image(args.inp)
         bits = pipeline.extract(img, args.key)
         with open(args.out, "wb") as fh:
             fh.write(np.packbits(bits).tobytes())
@@ -109,13 +109,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "capacity":
-        img, _ = _read_image(args.inp)
         report = pipeline.capacity(img, args.key)
         print(report.to_json())
         return 0
 
     if args.command == "analyze":
-        img, _ = _read_image(args.inp)
         mask = compute_mask(img)
         with open(args.out, "wb") as fh:
             fh.write(serialize_pbm(mask.to_image(), args.format.upper()))

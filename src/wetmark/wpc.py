@@ -109,14 +109,15 @@ class AreaPlan:
     One loop plans, eliminates and solves stacks of consecutive areas,
     each one ``gf2`` block stack: block i holds the rows planned for area
     i, restricted to its flippable columns, then zero rows, and so does
-    its syndrome. While bits remain, a cut takes as many areas as would
-    hold them if none of their rows were dependent, plus one, and plans
-    each on no more rows than its header and those bits need; a last cut
-    plans the rest for their zero-length headers alone. For capacity, one
-    cut plans every area on all the rows it could use. A stack ends at a
-    cut or before it passes ``STACK_WORDS`` of restricted rows, and is
-    dropped once solved. An area's rows 0..hb+q-1 eliminate as they would
-    alone, so no output depends on where the stacks end.
+    its syndrome. Each stack is planned at its start from the bits still
+    to place: each of its areas gets its header rows plus one row per
+    bit, up to all the rows it could use (for capacity, all of them).
+    While bits remain, a stack takes no more areas than would hold them
+    if none of their rows were dependent, plus one. A stack also ends
+    before it passes ``STACK_WORDS`` of restricted rows, and is dropped
+    once solved. An area's rows 0..hb+q-1 eliminate as they would alone,
+    and it gets at least hb+q rows, so no output depends on where the
+    stacks end.
 
     A stack's keyed rows are made with one keystream call and one mat-vec
     per group of as many areas as fit ``HEADER_GROUP_WORDS`` stream words
@@ -136,22 +137,19 @@ class AreaPlan:
         most = np.maximum(0, self.k - codec.header_bits)
         # for capacity, one bit more than the areas could hold
         left = int(most.sum()) + 1 if message is None else len(message)
-        rows, words = np.zeros_like(most), np.maximum(1, (self.k + 63) // 64)
-        start = cut = 0
+        words = np.maximum(1, (self.k + 63) // 64)
+        start = 0
         while start < len(self.k):
-            if start == cut:
-                cut = len(self.k)
-                if left:
-                    need = np.searchsorted(np.cumsum(most[start:]), left)
-                    cut = min(cut, start + int(need) + 2)
-                rows[start:cut] = codec.header_bits + np.minimum(
-                    most[start:cut], left)
+            rows = codec.header_bits + np.minimum(most[start:], left)
+            if left:
+                need = np.searchsorted(np.cumsum(most[start:]), left)
+                rows = rows[:need + 2]
             # the most areas whose restricted rows fit STACK_WORDS words
-            size = (np.arange(1, cut - start + 1) * np.maximum.accumulate(
-                rows[start:cut]) * np.maximum.accumulate(words[start:cut]))
+            size = (np.arange(1, len(rows) + 1) * np.maximum.accumulate(rows)
+                    * np.maximum.accumulate(words[start:start + len(rows)]))
             end = start + max(1, np.searchsorted(size, STACK_WORDS, "right"))
             left -= self._stack(slice(start, end), covers[start:end],
-                                rows[start:end], left, message)
+                                rows[:end - start], left, message)
             start = end
 
     def _stack(self, part: slice, covers, rows, left: int, message) -> int:
@@ -169,14 +167,11 @@ class AreaPlan:
             height = int(rows[g].max())
             d_words = prng.matrix_words(key, areas[g], height, n)
             d_words = d_words.reshape(-1, height, row_words)
-            rhs[g, :height] = gf2.mat_vec_words(d_words, covers[g, None])
-            for i, d in enumerate(d_words, start):
+            syndromes = gf2.mat_vec_words(d_words, covers[g, None])
+            for i, (d, syndrome) in enumerate(zip(d_words, syndromes), start):
                 restricted = restrict_columns(d[:rows[i]], wet[i])
                 h_rows[i, :rows[i], :restricted.shape[1]] = restricted
-        # clear the syndrome rows past an area's planned count, which a
-        # taller area of its group made; its block holds zeros there
-        row = np.arange(rhs.shape[1])
-        rhs[row >= rows[:, None]] = 0
+                rhs[i, :rows[i]] = syndrome[:rows[i]]
         echelon = gf2.Echelon(h_rows.reshape(-1, words), len(rows))
         room = echelon.prefix - hb
         for i in np.flatnonzero(room < 0)[:1]:
@@ -191,6 +186,7 @@ class AreaPlan:
         header = (q_p[:, None] >> np.arange(hb - 1, -1, -1)) & 1  # big-endian
         rhs[:, :hb] ^= header.astype(np.uint8)
         # payload bit j of area i goes to row hb + j of its block
+        row = np.arange(rhs.shape[1])
         bits = message[len(message) - left:][:q_p.sum()]  # after those sent
         rhs[(hb <= row) & (row < hb + q_p[:, None])] ^= bits
         v, consistent = echelon.solve(rhs.reshape(-1), hb + q_p)

@@ -151,10 +151,10 @@ def oracle_parse_pbm(data: bytes) -> BinaryImage:
         if len(tok) > 64:
             raise PbmError("dimension token longer than 64 bytes")
         dims.append(tok)
-    try:
-        width, height = map(int, dims)
-    except ValueError:
-        raise PbmError("non-numeric dimensions") from None
+    # ASCII digits only: int() alone would take a sign or an underscore
+    if not all(tok.isdigit() for tok in dims):
+        raise PbmError("non-numeric dimensions")
+    width, height = map(int, dims)
     if width < 1 or height < 1:
         raise PbmError("non-positive dimensions")
     if width > MAX_SIDE or height > MAX_SIDE:

@@ -58,6 +58,9 @@ def test_parse_p4_multirow():
     b"P4\n8 1",                # no delimiter after the height
     b"P4\n8 1x\xff",           # no delimiter: "1x" is the height token
     b"P4\n8 1#c",              # unterminated comment after the height
+    b"P1 1_0 1\n0000000000",   # an underscore, which int() takes
+    b"P4 +8 1\n\x00",          # a sign, which int() takes
+    b"P1\n+3 1\n000",
 ])
 def test_parse_errors(data):
     with pytest.raises(PbmError):

@@ -135,12 +135,29 @@ def test_pixel_cap_io_error(tmp_path, magic):
     assert run(["capacity", "--in", huge, "--key", "k"]) == 3
 
 
+def test_images_too_small(tmp_path, capsys):
+    """Too few pixels or a side under 3 is a capacity failure; ``analyze``
+    of an image under 3x3 is an input error."""
+    tiny = tmp_path / "tiny.pbm"
+    tiny.write_bytes(b"P1\n2 2\n1 0 0 1")
+    thin = tmp_path / "thin.pbm"
+    thin.write_bytes(b"P4\n2 3000\n" + bytes(3000))
+    assert run(["capacity", "--in", tiny, "--key", "k"]) == 2
+    assert run(["capacity", "--in", thin, "--key", "k"]) == 2
+    assert run(["analyze", "--in", tiny, "--out", tmp_path / "m.pbm"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 2x2: need at least 4096 pixels and 3x3 geometry",
+        "error: 2x3000: need at least 4096 pixels and 3x3 geometry",
+        "error: image must be at least 3x3"]
+
+
 @pytest.mark.parametrize("data, error", [
     (b"", "truncated header"),
     (b"P1\n64 64\n" + b"0 " * 4095, "truncated P1 payload"),
     (b"P1\n256 256\n" + b"0 " * 40000 + b"2", "invalid P1 sample byte 0x32"),
     (b"P4\n64 64\n" + bytes(511), "truncated P4 payload"),
-], ids=["empty", "short-p1", "bad-p1-sample", "short-p4"])
+    (b"P4 +64 64\n" + bytes(512), "non-numeric dimensions"),
+], ids=["empty", "short-p1", "bad-p1-sample", "short-p4", "signed-width"])
 def test_malformed_input_io_error(tmp_path, capsys, data, error):
     bad = tmp_path / "bad.pbm"
     bad.write_bytes(data)

@@ -293,6 +293,31 @@ def test_batched_areas_match_area_by_area(monkeypatch):
     assert min(planned[:groups[0]]) < max(planned[:groups[0]])
 
 
+def test_each_stack_plans_for_the_bits_still_to_place(monkeypatch):
+    """One area a stack: each area is planned its header rows plus one row
+    per bit still to place when its stack starts, up to k - hb."""
+    rng = np.random.default_rng(24)
+    codec = AreaCodec(StegoKey(b"stack"), 0, n=200)
+    covers = pack_bits(rng.integers(0, 2, (5, 200)).astype(np.uint8))
+    wet = np.zeros((5, 200), dtype=bool)
+    for row in wet:
+        row[rng.choice(200, 80, replace=False)] = True
+    planned, restrict = [], wpc.restrict_columns
+
+    def restricted(rows, flippable):
+        planned.append(len(rows))
+        return restrict(rows, flippable)
+
+    monkeypatch.setattr(wpc, "restrict_columns", restricted)
+    monkeypatch.setattr(wpc, "STACK_WORDS", 1)
+    areas = AreaPlan(codec, covers, wet, np.ones(100, dtype=np.uint8))
+    assert areas.q_p.sum() == 100
+    hb, most = codec.header_bits, 80 - codec.header_bits
+    left = 100 - np.cumsum(areas.q_p) + areas.q_p
+    assert planned == (hb + np.minimum(most, left)).tolist()
+    assert planned[0] == 80 and planned[1] < 80 and planned[2:] == [hb] * 3
+
+
 def test_batch_names_the_first_area_without_header_room():
     rng = np.random.default_rng(22)
     codecs, covers, masks = _toy_areas(rng, (10, 12, 0, 9, 3))
