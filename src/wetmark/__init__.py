@@ -1,7 +1,7 @@
 """Blind watermarking of 1-bit images with wet paper codes over GF(2)."""
 
 from .bitmap import BinaryImage, PbmError, flip_pixel, parse_pbm, serialize_pbm
-from .flippability import FlippabilityMask, compute_mask, is_flippable, window_code
+from .flippability import FlippabilityMask, compute_mask, is_flippable
 from .pipeline import (
     EmbedPlan,
     EmbedReport,
@@ -40,5 +40,4 @@ __all__ = [
     "parse_pbm",
     "plan",
     "serialize_pbm",
-    "window_code",
 ]

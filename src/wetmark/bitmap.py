@@ -94,10 +94,11 @@ def _parse_p1(data: bytes, pos: int, width: int, height: int) -> BinaryImage:
     Each chunk is a copy: no array keeps a view of ``data``, which a
     mapped file needs in order to close.
     """
-    need = width * height
-    bits = np.empty(need, dtype=np.uint8)
+    pos, need = _skip(data, pos), width * height
+    # every sample takes a byte: a short body cannot claim the whole image
+    bits = np.empty(min(need, len(data) - pos), dtype=np.uint8)
     count = 0
-    for start in range(_skip(data, pos), len(data), _P1_CHUNK):
+    for start in range(pos, len(data), _P1_CHUNK):
         chunk = data[start:start + _P1_CHUNK].translate(None, _P1_SPACE)
         body = np.frombuffer(chunk, dtype=np.uint8)[:need - count]
         got = bits[count:count + body.size]
@@ -155,8 +156,8 @@ def parse_pbm(data) -> BinaryImage:
     if len(payload) < need:
         raise PbmError("truncated P4 payload")
     rows = np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes)
-    unpacked = np.unpackbits(rows, axis=1)[:, :width]  # MSB-first, pad dropped
-    return BinaryImage(width, height, unpacked.reshape(-1).copy())
+    unpacked = np.unpackbits(rows, axis=1, count=width)  # MSB-first, no pad
+    return BinaryImage(width, height, unpacked.reshape(-1))
 
 
 def serialize_pbm(img: BinaryImage, fmt: str = "P4") -> bytes:
@@ -170,11 +171,10 @@ def serialize_pbm(img: BinaryImage, fmt: str = "P4") -> bytes:
         text = np.full((img.height, 2 * img.width), ord(" "), dtype=np.uint8)
         np.add(img.grid(), ord("0"), out=text[:, 0::2])
         text[:, -1] = ord("\n")
-        return f"P1\n{img.width} {img.height}\n".encode() + text.tobytes()
+        return b"".join((f"P1\n{img.width} {img.height}\n".encode(), text))
     if fmt == "P4":
         packed = np.packbits(img.grid(), axis=1)  # MSB-first, zero pad
-        header = f"P4\n{img.width} {img.height}\n".encode()
-        return header + packed.tobytes()
+        return b"".join((f"P4\n{img.width} {img.height}\n".encode(), packed))
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -49,14 +49,6 @@ def is_flippable(code: int) -> bool:
     return bool(FLIP_TABLE[code])
 
 
-def window_code(cells) -> int:
-    """Pack 9 row-major cell values into the 9-bit window code."""
-    cells = list(cells)
-    if len(cells) != 9 or any(c not in (0, 1) for c in cells):
-        raise ValueError("window must be 9 cells of 0/1")
-    return sum(c << i for i, c in enumerate(cells))
-
-
 @dataclass(frozen=True)
 class FlippabilityMask:
     """Which pixels of an image are flippable: one read-only boolean flag

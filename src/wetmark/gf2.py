@@ -66,7 +66,7 @@ class Echelon:
         h = rows.reshape(count, height, words).transpose(2, 1, 0).copy()
         systems = np.arange(count)
         pivoted = np.zeros((height + 1, count), dtype=bool)
-        # One record per block in which some system pivots: (top, first
+        # One record per block until every row is zero: (top, first
         # column, pivot rows and whether they pivot (8, systems), the
         # pivots' received sets, those of the rows from top on, and the
         # pivots as they pivoted, from the block's word on).
@@ -92,8 +92,6 @@ class Echelon:
                               out=pivot[j])
                 strip ^= has * pivot[j, :, None]
             found = (pivot & _BITS).astype(bool)
-            if not found.any():
-                continue
             first += top
             pivoted[first[found], found.nonzero()[1]] = True
             # every combination s of the pivot rows, at s*count + system

@@ -429,11 +429,11 @@ def solve(rows: list[int], cols: int, rhs: int) -> int | None:
 
 def max_independent_prefix(rows: list[int], cols: int | None = None) -> int:
     """Largest p such that rows[0:p] are linearly independent, from
-    ``gf2.max_independent_prefix_words``."""
+    ``gf2.Echelon``."""
     if cols is None:
         cols = max((r.bit_length() for r in rows), default=1)
     words = rows_to_words(rows, max(1, cols))
-    return int(gf2.max_independent_prefix_words(words, 1).prefix[0])
+    return int(gf2.Echelon(words, 1).prefix[0])
 
 
 def oracle_solve(rows: list[int], rhs: list[int]) -> int | None:

@@ -140,6 +140,44 @@ def test_pixel_cap_checked_before_allocation(magic):
     assert 8192 * 8192 == MAX_PIXELS
 
 
+def _traced(call, *args):
+    """``call(*args)``, or the PbmError it raised, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        try:
+            got = call(*args)
+        except PbmError as exc:
+            got = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return got, peak
+
+
+@pytest.mark.parametrize("fmt, per_byte", [("P1", 2), ("P4", 10)])
+@pytest.mark.parametrize("width, height", [(2048, 2048), (2001, 1999)])
+def test_pbm_memory_bounded_by_file(fmt, per_byte, width, height):
+    """A P1 sample takes at least a byte and a P4 byte holds 8 pixels, so
+    one image-sized array per parse stays within ``per_byte`` times the
+    file. Serializing holds the file's bytes once beside what it returns."""
+    rng = np.random.default_rng(width)
+    img = BinaryImage(width, height,
+                      rng.integers(0, 2, width * height, dtype=np.uint8))
+    data, peak = _traced(serialize_pbm, img, fmt)
+    assert peak <= 2 * len(data) + (1 << 20)
+    got, peak = _traced(parse_pbm, data)
+    assert got == img
+    assert peak <= per_byte * len(data) + (1 << 20)
+
+
+def test_short_p1_body_allocates_no_image():
+    """A header that declares 8192x8192 over a one-sample body."""
+    data = b"P1\n8192 8192\n0"
+    got, peak = _traced(parse_pbm, data)
+    assert str(got) == "truncated P1 payload"
+    assert peak <= 2 * len(data) + (1 << 20)
+
+
 def test_dimension_tokens_are_bounded():
     # Zero padding counts: a 64-byte token is read, a 65-byte one is not.
     img = parse_pbm(b"P1 " + b"2".zfill(64) + b" 1\n10")

@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wetmark import pipeline
-from wetmark.bitmap import parse_pbm, serialize_pbm
+from wetmark.bitmap import BinaryImage, parse_pbm, serialize_pbm
 from wetmark.cli import main
 from wetmark.prng import StegoKey
 
@@ -163,6 +164,58 @@ def test_malformed_input_io_error(tmp_path, capsys, data, error):
     bad.write_bytes(data)
     assert run(["capacity", "--in", bad, "--key", "k"]) == 3
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+# Header tokens and comments spliced into the first bytes of a file.
+_HEADER_BITS = [b" ", b"\n", b"0", b"9", b" 64", b" 8192 8192", b" 65536",
+                b"-", b"+", b"P1", b"P4", b"#", b"# c\n", b" #x\n"]
+
+
+@st.composite
+def _mutated_cover(draw):
+    """A P1 or P4 file of up to 100x100 pixels, blank to dense, then
+    mutated: byte edits, truncation, header tokens and comments spliced
+    in, appended bytes."""
+    side = st.integers(1, 100) | st.integers(64, 100)  # half hold an area
+    w, h = draw(side), draw(side)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.5]))
+    img = BinaryImage(w, h, (rng.random(w * h) < density).astype(np.uint8))
+    data = bytearray(serialize_pbm(img, draw(st.sampled_from(["P1", "P4"]))))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["set", "truncate", "header", "append"]))
+        if op == "set" and data:
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        elif op == "truncate":
+            del data[draw(st.integers(0, len(data))):]
+        elif op == "header":
+            at = draw(st.integers(0, min(len(data), 12)))
+            data[at:at] = draw(st.sampled_from(_HEADER_BITS))
+        elif op == "append":
+            data += draw(st.binary(min_size=1, max_size=16))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=_mutated_cover(), message=st.binary(max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_exit_codes(fuzz_dir, data, message):
+    """Every subcommand ends with 0, 2 or 3 on malformed input, and no
+    exception escapes ``main``."""
+    cover, msg = fuzz_dir / "cover.pbm", fuzz_dir / "msg.bin"
+    out = fuzz_dir / "out"
+    cover.write_bytes(data)
+    msg.write_bytes(message)
+    for argv in (["embed", "--in", cover, "--key", "k", "--msg", msg,
+                  "--out", out],
+                 ["extract", "--in", cover, "--key", "k", "--out", out],
+                 ["capacity", "--in", cover, "--key", "k"],
+                 ["analyze", "--in", cover, "--out", out]):
+        assert run(argv) in (0, 2, 3)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

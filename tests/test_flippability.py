@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wetmark.bitmap import BinaryImage, flip_pixel
-from wetmark.flippability import (FLIP_TABLE, compute_mask, is_flippable,
-                                  window_code)
+from wetmark.flippability import FLIP_TABLE, compute_mask, is_flippable
 
 from conftest import synth_image
 from reference import component_counts, oracle_mask_flags
@@ -103,6 +102,14 @@ def test_specific_patterns():
     # vertical black stroke through center column: cells 1, 4, 7
     stroke = (1 << 1) | (1 << 4) | (1 << 7)
     assert not is_flippable(stroke)       # flip splits the stroke
+
+
+def window_code(cells) -> int:
+    """Pack 9 row-major cell values into the 9-bit window code."""
+    cells = list(cells)
+    if len(cells) != 9 or any(c not in (0, 1) for c in cells):
+        raise ValueError("window must be 9 cells of 0/1")
+    return sum(c << i for i, c in enumerate(cells))
 
 
 def test_window_code_packing():

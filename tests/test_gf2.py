@@ -107,7 +107,7 @@ def test_solve_dimension_checks():
     with pytest.raises(ValueError, match="blocks"):
         gf2.Echelon(words, 2)  # 3 rows are not 2 blocks of one height
     with pytest.raises(ValueError, match="blocks"):
-        gf2.max_independent_prefix_words(words, 0)
+        gf2.Echelon(words, 0)
     echelon = gf2.Echelon(words, 3)
     with pytest.raises(ValueError, match="rhs"):
         echelon.solve(np.zeros(2, dtype=np.uint8), [1, 1, 1])  # rhs too short
@@ -242,8 +242,7 @@ def test_stacked_systems_match_single_ones(cols, shapes):
     systems[0][3] = systems[0][1] ^ systems[0][2]
     sizes = [len(s) for s in systems]
     words = np.concatenate([rows_to_words(rows, cols) for rows in systems])
-    echelon = gf2.max_independent_prefix_words(pad_blocks(words, sizes),
-                                                len(systems))
+    echelon = gf2.Echelon(pad_blocks(words, sizes), len(systems))
     assert echelon.prefix[0] <= 3
     for rows, p in zip(systems, echelon.prefix.tolist()):
         assert rank(rows[:p]) == p
