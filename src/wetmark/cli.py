@@ -88,8 +88,9 @@ def _read_image(path: str) -> tuple[BinaryImage, str]:
 def _run(args) -> int:
     img, variant = _read_image(args.inp)
     if args.command == "embed":
-        with open(args.msg, "rb") as fh:
-            message = np.unpackbits(np.frombuffer(fh.read(), dtype=np.uint8))
+        with open(args.msg, "rb") as fh:  # one byte past what can fit
+            data = fh.read(img.width * img.height // 8 + 1)
+        message = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         stego, report = pipeline.embed(img, args.key, message)
         fmt = args.format.upper() if args.format else variant
         with open(args.out, "wb") as fh:

@@ -112,6 +112,9 @@ def _report(areas: wpc.AreaPlan, leftover: int, flips) -> EmbedReport:
 def embed(img: BinaryImage, key: StegoKey,
           message: np.ndarray) -> tuple[BinaryImage, EmbedReport]:
     """Embed ``message`` (uint8 bit array) and return (stego, report)."""
+    if np.size(message) > img.width * img.height:  # a payload bit per pixel
+        raise MessageTooLongError(f"message has more bits than the "
+                                  f"image's {img.width * img.height} pixels")
     message = wpc.message_bits(message)
     idx, leftover, areas = _plan_areas(img, key, message)
     embedded = int(areas.q_p.sum())

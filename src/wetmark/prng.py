@@ -29,12 +29,15 @@ _CHUNK = 1 << 14  # stream words drawn at a time, to bound temporaries
 
 @dataclass(frozen=True)
 class StegoKey:
-    """Shared secret; arbitrary non-empty bytes, digested once."""
+    """Shared secret: non-empty bytes-like, stored as bytes, digested once."""
 
     key_bytes: bytes
     digest: int = field(init=False, repr=False, compare=False)  # fnv1a64
 
     def __post_init__(self):
+        if isinstance(self.key_bytes, str):
+            raise TypeError("a text key goes through StegoKey.from_text")
+        object.__setattr__(self, "key_bytes", bytes(memoryview(self.key_bytes)))
         if not self.key_bytes:
             raise ValueError("key must be non-empty")
         object.__setattr__(self, "digest", fnv1a64(self.key_bytes))

@@ -1,3 +1,7 @@
+import contextlib
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -23,6 +27,19 @@ def synth_image(width: int, height: int, seed: int,
             w2 = int(r.integers(2, 5))
             g[y:min(height, y + h2), x:min(width, x + w2)] = 1
     return BinaryImage(width, height, g.reshape(-1))
+
+
+@contextlib.contextmanager
+def memory_peak():
+    """Trace the ``with`` block's allocations: the yielded probe's
+    ``.peak`` is their tracemalloc peak in bytes once the block ends."""
+    probe = SimpleNamespace(peak=None)
+    tracemalloc.start()
+    try:
+        yield probe
+    finally:
+        probe.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 @pytest.fixture

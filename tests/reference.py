@@ -1,17 +1,20 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations that only the tests use: every oracle.
 
 They are the plain loops the library replaced with whole-array code, kept
-as oracles: the tests require the library to agree with them.
+as oracles: the tests require the library to agree with them. No test
+module keeps an oracle of its own.
 ``oracle_fisher_yates`` runs the keyed shuffle's swaps one by one, from
 its own SplitMix64 and FNV-1a, and ``matrix_rows`` makes the keyed rows
 from the same two, so neither calls ``wetmark.prng``'s keystream.
 ``ColumnEchelon`` is the column-at-a-time elimination that ``gf2.Echelon``
 replaced with blocks of 8 columns, and ``pad_blocks`` lays ragged systems
 out as the stacked blocks of rows that both take. ``component_counts``
-counts the 8-connected components of a whole image for the topology
-tests, and ``oracle_mask_flags`` builds the flippability mask from nine
-shifted copies of the image, one per window cell. The GF(2) helpers at
-the end hold rows as Python ints (bit j of a row int = column j);
+counts 8-connected components by flood fill, of a whole image for the
+topology tests and of a 3x3 window for ``oracle_is_flippable``, and
+``oracle_mask_flags`` builds the flippability mask from nine shifted
+copies of the image, one per window cell. The GF(2) helpers at the end
+hold rows as Python ints (bit j of a row int = column j): ``rank`` feeds
+``oracle_prefix``, and ``brute_solutions`` searches every assignment.
 ``solve`` and ``max_independent_prefix`` among them are not oracles but
 thin adapters that run the library's word engine on such rows, while
 ``oracle_solve`` eliminates on the ints alone. ``oracle_embed`` puts the
@@ -244,6 +247,40 @@ def component_counts(grid) -> tuple[int, int]:
     return counts[1], counts[0]
 
 
+def oracle_is_flippable(code: int) -> bool:
+    """Whether flipping the centre of the 3x3 window ``code`` (bit i =
+    cell i, row-major) keeps its numbers of black and of white
+    8-connected components, by ``component_counts`` before and after. A
+    uniform window is not flippable: its centre's flip adds a component."""
+    cells = np.array([(code >> i) & 1 for i in range(9)]).reshape(3, 3)
+    flipped = cells.copy()
+    flipped[1, 1] ^= 1
+    return component_counts(cells) == component_counts(flipped)
+
+
+def transform_code(code: int, mapping) -> int:
+    """The window code whose cell i is cell ``mapping[i]`` of ``code``."""
+    cells = [(code >> i) & 1 for i in range(9)]
+    return sum(cells[mapping[i]] << i for i in range(9))
+
+
+def dihedral_mappings() -> list[list[int]]:
+    """Index mappings for the 8 symmetries of the 3x3 grid."""
+    def rot(m):  # 90 degrees
+        return [m[3 * (2 - (i % 3)) + i // 3] for i in range(9)]
+
+    def mirror(m):
+        return [m[3 * (i // 3) + (2 - i % 3)] for i in range(9)]
+
+    maps = []
+    m = list(range(9))
+    for _ in range(4):
+        maps.append(m)
+        maps.append(mirror(m))
+        m = rot(m)
+    return maps
+
+
 def oracle_mask_flags(img: BinaryImage) -> np.ndarray:
     """Flat flippability flags of ``img``: each window code is the sum of
     its nine cells shifted by their bit, one shifted copy per cell."""
@@ -399,6 +436,18 @@ def rank(rows: list[int]) -> int:
         if row:
             basis.append(row)
     return len(basis)
+
+
+def oracle_prefix(rows: list[int]) -> int:
+    """Largest p such that rows[0:p] are linearly independent: the first
+    p whose rows[0:p+1] have ``rank`` at most p, else all of them."""
+    return next((p for p in range(len(rows)) if rank(rows[:p + 1]) <= p),
+                len(rows))
+
+
+def brute_solutions(rows: list[int], cols: int, rhs: int) -> list[int]:
+    """All v with M v = rhs over GF(2), by exhaustive search."""
+    return [v for v in range(1 << cols) if mat_vec(rows, v) == rhs]
 
 
 def _reduce(row: int, basis: list[int]) -> int:

@@ -29,13 +29,16 @@ from wetmark.wpc import (
 from conftest import synth_image
 from reference import (
     bits_to_int,
+    brute_solutions,
+    dihedral_mappings,
     mat_vec,
     matrix_rows,
     max_independent_prefix,
+    oracle_is_flippable,
+    oracle_prefix,
     solve,
+    transform_code,
 )
-from test_flippability import _dihedral_mappings, _transform_code, oracle_is_flippable
-from test_gf2 import brute_solutions, oracle_prefix
 
 
 @contextlib.contextmanager
@@ -57,12 +60,12 @@ def criterion(number, description, limit_s=None):
 def test_criterion_1_flippability_oracle():
     with criterion(1, "flippability oracle + symmetry on all 512 patterns",
                    limit_s=1.0):
-        maps = _dihedral_mappings()
+        maps = dihedral_mappings()
         for code in range(512):
             value = wm.is_flippable(code)
             assert value == oracle_is_flippable(code)
             for m in maps:
-                assert wm.is_flippable(_transform_code(code, m)) == value
+                assert wm.is_flippable(transform_code(code, m)) == value
             assert wm.is_flippable(code ^ 0x1FF) == value
 
 
@@ -82,14 +85,13 @@ def test_criterion_2_gf2_solver_equivalence():
             else:
                 assert v in sols
                 assert mat_vec(rows, v) == rhs
-                if n_rows == cols and oracle_prefix(rows, cols) == cols:
+                if n_rows == cols and oracle_prefix(rows) == cols:
                     assert len(sols) == 1 and v == sols[0]
         for _ in range(200):
             cols = int(r.integers(1, 12))
             n_rows = int(r.integers(1, 12))
             rows = [int(r.integers(0, 1 << cols)) for _ in range(n_rows)]
-            assert max_independent_prefix(rows, cols) == \
-                oracle_prefix(rows, cols)
+            assert max_independent_prefix(rows, cols) == oracle_prefix(rows)
 
 
 def test_criterion_3_toy_wpc_oracle():

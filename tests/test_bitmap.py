@@ -1,5 +1,4 @@
 import mmap
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,6 +16,7 @@ from wetmark.bitmap import (
     serialize_pbm,
 )
 
+from conftest import memory_peak
 from reference import oracle_parse_pbm, oracle_serialize_p1
 
 
@@ -126,32 +126,14 @@ def test_parse_mapped_file_as_bytes(tmp_path, data):
 
 @pytest.mark.parametrize("magic", [b"P1", b"P4"])
 def test_pixel_cap_checked_before_allocation(magic):
-    tracemalloc.start()
-    try:
-        with pytest.raises(PbmError, match=f"exceeds {MAX_PIXELS} pixels"):
-            parse_pbm(magic + b"\n65536 65536\n")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    match = f"exceeds {MAX_PIXELS} pixels"
+    with memory_peak() as mem, pytest.raises(PbmError, match=match):
+        parse_pbm(magic + b"\n65536 65536\n")
+    assert mem.peak < 1 << 20
     # The cap itself is allowed; this image fails on its missing payload.
     with pytest.raises(PbmError, match="truncated"):
         parse_pbm(magic + b"\n8192 8192\n")
     assert 8192 * 8192 == MAX_PIXELS
-
-
-def _traced(call, *args):
-    """``call(*args)``, or the PbmError it raised, and its tracemalloc peak."""
-    tracemalloc.start()
-    try:
-        try:
-            got = call(*args)
-        except PbmError as exc:
-            got = exc
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return got, peak
 
 
 @pytest.mark.parametrize("fmt, per_byte", [("P1", 2), ("P4", 10)])
@@ -163,19 +145,22 @@ def test_pbm_memory_bounded_by_file(fmt, per_byte, width, height):
     rng = np.random.default_rng(width)
     img = BinaryImage(width, height,
                       rng.integers(0, 2, width * height, dtype=np.uint8))
-    data, peak = _traced(serialize_pbm, img, fmt)
-    assert peak <= 2 * len(data) + (1 << 20)
-    got, peak = _traced(parse_pbm, data)
+    with memory_peak() as mem:
+        data = serialize_pbm(img, fmt)
+    assert mem.peak <= 2 * len(data) + (1 << 20)
+    with memory_peak() as mem:
+        got = parse_pbm(data)
     assert got == img
-    assert peak <= per_byte * len(data) + (1 << 20)
+    assert mem.peak <= per_byte * len(data) + (1 << 20)
 
 
 def test_short_p1_body_allocates_no_image():
     """A header that declares 8192x8192 over a one-sample body."""
     data = b"P1\n8192 8192\n0"
-    got, peak = _traced(parse_pbm, data)
-    assert str(got) == "truncated P1 payload"
-    assert peak <= 2 * len(data) + (1 << 20)
+    with memory_peak() as mem, pytest.raises(PbmError) as got:
+        parse_pbm(data)
+    assert str(got.value) == "truncated P1 payload"
+    assert mem.peak <= 2 * len(data) + (1 << 20)
 
 
 def test_dimension_tokens_are_bounded():

@@ -1,6 +1,6 @@
 import json
 import os
-import tracemalloc
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from wetmark.bitmap import BinaryImage, parse_pbm, serialize_pbm
 from wetmark.cli import main
 from wetmark.prng import StegoKey
 
-from conftest import synth_image
+from conftest import memory_peak, synth_image
 
 
 @pytest.fixture
@@ -104,6 +104,38 @@ def test_message_too_long_exit(tmp_path, cover, capsys):
     msg.write_bytes(bytes(cap_bits // 8 + 1))
     assert run(["embed", "--in", cover, "--key", "k", "--msg", msg,
                 "--out", tmp_path / "s.pbm"]) == 2
+
+
+def test_message_over_pixel_count_refused_unread(tmp_path, cover, capsys):
+    """Each payload bit needs a pixel of its own, so a message with more
+    bits than the cover has pixels is refused after one byte more than
+    can fit, from a file or from a pipe."""
+    msg = tmp_path / "huge.bin"
+    msg.write_bytes(bytes(8 << 20))
+    with memory_peak() as mem:
+        code = run(["embed", "--in", cover, "--key", "k", "--msg", msg,
+                    "--out", tmp_path / "s.pbm"])
+    assert code == 2 and "16384 pixels" in capsys.readouterr().err
+    assert mem.peak < 1 << 20
+    r, w = os.pipe()
+    data = bytes(8 << 20)
+
+    def send():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=send)
+    writer.start()
+    try:
+        with memory_peak() as mem:
+            code = run(["embed", "--in", cover, "--key", "k",
+                        "--msg", f"/dev/fd/{r}", "--out", tmp_path / "s.pbm"])
+    finally:
+        unread = sum(iter(lambda: len(os.read(r, 1 << 16)), 0))
+        writer.join()
+        os.close(r)
+    assert code == 2 and "16384 pixels" in capsys.readouterr().err
+    assert mem.peak < 1 << 20 and unread > 7 << 20
 
 
 def test_missing_key_usage_error(cover, tmp_path):
@@ -240,15 +272,13 @@ def test_trailing_bytes_are_not_read(tmp_path, capsys, fmt):
     with open(padded, "wb") as fh:
         fh.write(serialize_pbm(img, fmt))
         fh.write(b"\n" * (60 << 20))
-    tracemalloc.start()
     try:
-        code = run(["capacity", "--in", padded, "--key", "k"])
-        peak = tracemalloc.get_traced_memory()[1]
+        with memory_peak() as mem:
+            code = run(["capacity", "--in", padded, "--key", "k"])
     finally:
-        tracemalloc.stop()
         padded.unlink()
     assert code == 0
-    assert peak < 4 << 20  # reading the 60 MB of trailing bytes would show
+    assert mem.peak < 4 << 20  # reading the 60 MB of trailing bytes would show
     doc = json.loads(capsys.readouterr().out)
     assert doc == json.loads(pipeline.capacity(img, StegoKey.from_text("k"))
                              .to_json())
@@ -260,15 +290,13 @@ def test_overlong_dimension_token_is_refused_unread(tmp_path, capsys):
     with open(digits, "wb") as fh:
         fh.write(b"P1 ")
         fh.write(b"1" * (60 << 20))
-    tracemalloc.start()
     try:
-        code = run(["capacity", "--in", digits, "--key", "k"])
-        peak = tracemalloc.get_traced_memory()[1]
+        with memory_peak() as mem:
+            code = run(["capacity", "--in", digits, "--key", "k"])
     finally:
-        tracemalloc.stop()
         digits.unlink()
     assert code == 3
-    assert peak < 4 << 20  # slicing out the 60 MB token would show
+    assert mem.peak < 4 << 20  # slicing out the 60 MB token would show
     err = capsys.readouterr().err
     assert "longer than 64 bytes" in err and "non-numeric" not in err
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,63 +5,14 @@ from hypothesis import given, settings, strategies as st
 from wetmark.bitmap import BinaryImage, flip_pixel
 from wetmark.flippability import FLIP_TABLE, compute_mask, is_flippable
 
-from conftest import synth_image
-from reference import component_counts, oracle_mask_flags
-
-# --- independent oracle: BFS flood fill over the 3x3 grid -----------------
-
-
-def _oracle_components(cells, color):
-    """Count 8-connected components of `color` in a 3x3 cell list (BFS)."""
-    from collections import deque
-
-    todo = {i for i in range(9) if cells[i] == color}
-    count = 0
-    while todo:
-        count += 1
-        queue = deque([todo.pop()])
-        while queue:
-            i = queue.popleft()
-            r, c = divmod(i, 3)
-            for j in list(todo):
-                rj, cj = divmod(j, 3)
-                if abs(rj - r) <= 1 and abs(cj - c) <= 1:
-                    todo.remove(j)
-                    queue.append(j)
-    return count
-
-
-def oracle_is_flippable(code):
-    cells = [(code >> i) & 1 for i in range(9)]
-    if all(c == cells[0] for c in cells):
-        return False
-    flipped = cells[:]
-    flipped[4] ^= 1
-    return (_oracle_components(cells, 1) == _oracle_components(flipped, 1)
-            and _oracle_components(cells, 0) == _oracle_components(flipped, 0))
-
-
-def _transform_code(code, mapping):
-    cells = [(code >> i) & 1 for i in range(9)]
-    return sum(cells[mapping[i]] << i for i in range(9))
-
-
-def _dihedral_mappings():
-    """Index mappings for the 8 symmetries of the 3x3 grid."""
-    def rot(m):  # 90 degrees
-        return [m[3 * (2 - (i % 3)) + i // 3] for i in range(9)]
-
-    def mirror(m):
-        return [m[3 * (i // 3) + (2 - i % 3)] for i in range(9)]
-
-    base = list(range(9))
-    maps = []
-    m = base
-    for _ in range(4):
-        maps.append(m)
-        maps.append(mirror(m))
-        m = rot(m)
-    return maps
+from conftest import memory_peak, synth_image
+from reference import (
+    component_counts,
+    dihedral_mappings,
+    oracle_is_flippable,
+    oracle_mask_flags,
+    transform_code,
+)
 
 
 def test_matches_flood_fill_oracle_on_all_512():
@@ -72,12 +21,12 @@ def test_matches_flood_fill_oracle_on_all_512():
 
 
 def test_dihedral_and_inversion_invariance():
-    maps = _dihedral_mappings()
+    maps = dihedral_mappings()
     assert len({tuple(m) for m in maps}) == 8
     for code in range(512):
         value = is_flippable(code)
         for m in maps:
-            assert is_flippable(_transform_code(code, m)) == value
+            assert is_flippable(transform_code(code, m)) == value
         assert is_flippable(code ^ 0x1FF) == value
 
 
@@ -182,13 +131,9 @@ def test_mask_matches_nine_shift_oracle(img):
 def test_mask_memory_per_pixel():
     img = synth_image(1024, 1024, 5)
     compute_mask(img)
-    tracemalloc.start()
-    try:
+    with memory_peak() as mem:
         compute_mask(img)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 6.5 * 1024 * 1024
+    assert mem.peak <= 6.5 * 1024 * 1024
 
 
 def test_mask_5x5_segment_case():

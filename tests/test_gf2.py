@@ -9,56 +9,18 @@ from wetmark import gf2
 from reference import (
     ColumnEchelon,
     bits_to_int,
+    brute_solutions,
     int_to_bits,
     int_to_words,
     mat_vec,
     max_independent_prefix,
+    oracle_prefix,
     pad_blocks,
     rank,
     rows_to_words,
     solve,
     words_to_int,
 )
-
-
-# --- brute-force oracles --------------------------------------------------
-
-def brute_solutions(rows, cols, rhs):
-    """All assignments v with M v = rhs, by exhaustive search."""
-    out = []
-    for v in range(1 << cols):
-        if mat_vec(rows, v) == rhs:
-            out.append(v)
-    return out
-
-
-def oracle_prefix(rows, cols):
-    """Incremental rank via numpy elimination over dense 0/1 matrices."""
-    def np_rank(mat):
-        m = np.array(mat, dtype=np.uint8)
-        if m.size == 0:
-            return 0
-        r = 0
-        for c in range(m.shape[1]):
-            piv = None
-            for i in range(r, m.shape[0]):
-                if m[i, c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[[r, piv]] = m[[piv, r]]
-            for i in range(m.shape[0]):
-                if i != r and m[i, c]:
-                    m[i] ^= m[r]
-            r += 1
-        return r
-
-    dense = [[(row >> j) & 1 for j in range(cols)] for row in rows]
-    for p in range(len(rows)):
-        if np_rank(dense[:p + 1]) != p + 1:
-            return p
-    return len(rows)
 
 
 def test_mat_vec_identity():
@@ -155,7 +117,7 @@ def test_solve_unique_square_full_rank():
         r = np.random.default_rng(seed)
         n = int(r.integers(1, 7))
         rows = [int(r.integers(0, 1 << n)) for _ in range(n)]
-        if oracle_prefix(rows, n) != n:
+        if oracle_prefix(rows) != n:
             continue
         rhs = int(r.integers(0, 1 << n))
         sols = brute_solutions(rows, n, rhs)
@@ -175,13 +137,13 @@ def test_prefix_examples():
 def test_prefix_matches_oracle(n_rows, cols, seed):
     r = np.random.default_rng(seed)
     rows = [int(r.integers(0, 1 << cols)) for _ in range(n_rows)]
-    assert max_independent_prefix(rows, cols) == oracle_prefix(rows, cols)
+    assert max_independent_prefix(rows, cols) == oracle_prefix(rows)
 
 
 def test_prefix_random_64_columns():
     r = np.random.default_rng(7)
     rows = [int(r.integers(0, 1 << 63)) for _ in range(50)]
-    assert max_independent_prefix(rows, 64) == oracle_prefix(rows, 64)
+    assert max_independent_prefix(rows, 64) == oracle_prefix(rows)
 
 
 def test_prefix_rank_semantics():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +9,7 @@ from wetmark.pipeline import ImageTooSmallError, MessageTooLongError, plan
 from wetmark.prng import StegoKey
 from wetmark.wpc import AREA_SIZE, AreaCodec, HeaderCapacityError
 
-from conftest import synth_image
+from conftest import memory_peak, synth_image
 from reference import (
     oracle_embed,
     oracle_extract_area,
@@ -60,6 +58,15 @@ def test_embed_rejects_non_bit_messages(monkeypatch, message):
     with pytest.raises(ValueError,
                        match="^message must be a 1-D array of 0/1 bits$"):
         wm.embed(synth_image(64, 64, 4), KEY, message)
+
+
+def test_embed_refuses_more_bits_than_pixels(monkeypatch):
+    """Each payload bit needs a pixel of its own, so a longer message is
+    refused on entry, before the image is shuffled."""
+    monkeypatch.setattr(prng, "permutation", None)
+    with pytest.raises(MessageTooLongError, match="^message has more bits "
+                       "than the image's 4096 pixels$"):
+        wm.embed(synth_image(64, 64, 4), KEY, np.zeros(4097, np.uint8))
 
 
 def test_roundtrip_random_messages(rng):
@@ -198,44 +205,39 @@ def test_report_json_schema(rng):
         assert set(a) == {"area", "k", "q_p", "flips"}
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def test_dense_cover_memory_per_pixel():
     """Capacity, and embed at capacity, of an iid cover: every area has
     k near 900, so the elimination's records set the peak."""
     n = 256 * 256
     bits = np.random.default_rng(41).integers(0, 2, n, dtype=np.uint8)
     img = BinaryImage(256, 256, bits)
-    report, peak = _traced_peak(wm.capacity, img, KEY)
-    assert peak <= 125 * n
+    with memory_peak() as mem:
+        report = wm.capacity(img, KEY)
+    assert mem.peak <= 125 * n
     message = np.ones(report.n_embedded, dtype=np.uint8)
-    _, peak = _traced_peak(wm.embed, img, KEY, message)
-    assert peak <= 125 * n
+    with memory_peak() as mem:
+        wm.embed(img, KEY, message)
+    assert mem.peak <= 125 * n
 
 
 def test_dense_desk_cover_memory_per_pixel():
     """At desk scale the planning keeps one bounded stack of areas at a
     time, not every area's rows: capacity, and embed at capacity, of an
-    iid 1024x1024 cover (256 areas of k near 900) stay within 38 B/pixel.
-    Kept at this size: at 512x512 the permutation's share of the peak
-    would hide the stacks'."""
+    iid 1024x1024 cover (256 areas of k near 900) stay within 23 B/pixel.
+    Each stack is dropped once solved: one kept alive beside the next
+    adds about 4.5 B/pixel. Kept at this size: at 512x512 the
+    permutation's share of the peak would hide the stacks'."""
     n = 1024 * 1024
     bits = np.random.default_rng(42).integers(0, 2, n, dtype=np.uint8)
     img = BinaryImage(1024, 1024, bits)
-    report, peak = _traced_peak(wm.capacity, img, KEY)
+    with memory_peak() as mem:
+        report = wm.capacity(img, KEY)
     assert report.n_areas == 256 and report.n_flippable > 200_000
-    assert peak <= 38 * n
+    assert mem.peak <= 23 * n
     message = np.ones(report.n_embedded, dtype=np.uint8)
-    _, peak = _traced_peak(wm.embed, img, KEY, message)
-    assert peak <= 38 * n
+    with memory_peak() as mem:
+        wm.embed(img, KEY, message)
+    assert mem.peak <= 23 * n
 
 
 def test_extract_too_small():

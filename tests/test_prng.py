@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from wetmark.prng import (
     stream_words,
 )
 
+from conftest import memory_peak
 from reference import (
     KeyedStream,
     matrix_rows,
@@ -72,6 +72,19 @@ def test_derive_seed_determinism_and_separation():
     expected = mix64(oracle_fnv(b"shared") ^ TAG_MATR
                      ^ ((3 * 0x9E3779B97F4A7C15) & MASK))
     assert derive_seed(key, TAG_MATR, 3) == expected
+
+
+def test_key_is_stored_as_bytes():
+    """A bytes-like key is copied to bytes: it hashes, and a later change
+    to its source changes neither its bytes nor its digest. Text goes
+    through ``StegoKey.from_text``."""
+    source = bytearray(b"ab")
+    key = StegoKey(source)
+    source[0] = ord("z")
+    assert key == StegoKey(b"ab") and hash(key) == hash(StegoKey(b"ab"))
+    assert key.digest == oracle_fnv(b"ab")
+    with pytest.raises(TypeError, match="StegoKey.from_text"):
+        StegoKey("ab")
 
 
 def test_key_is_hashed_once(monkeypatch):
@@ -174,14 +187,10 @@ def test_permutation_without_links_covers_both_draws():
 
 def test_permutation_is_uint32_in_bounded_memory():
     n = 1 << 20
-    tracemalloc.start()
-    try:
+    with memory_peak() as mem:
         perm = permutation(StegoKey(b"k"), n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert perm.dtype == np.uint32
-    assert peak <= 20 * n  # the output itself is 4 bytes per pixel
+    assert mem.peak <= 20 * n  # the output itself is 4 bytes per pixel
 
 
 @pytest.mark.parametrize("n", [1, 2, 3 * _CHUNK + 5])
