@@ -42,6 +42,13 @@ def _check_size(width: int, height: int, error: type[ValueError]) -> None:
         raise error(f"image exceeds {MAX_PIXELS} pixels")
 
 
+def _frozen(array: np.ndarray) -> bool:
+    """Whether neither ``array`` nor any array it views can be written."""
+    while isinstance(array, np.ndarray) and not array.flags.writeable:
+        array = array.base
+    return array is None
+
+
 @dataclass(frozen=True)
 class BinaryImage:
     """Immutable 1-bit image; ``bits`` is flat, raster order, uint8 of 0/1."""
@@ -60,6 +67,8 @@ class BinaryImage:
         if (bits.max() > 1 if bits.dtype == np.uint8
                 else not ((bits == 0) | (bits == 1)).all()):
             raise ValueError("bits must be 0 or 1")
+        if not _frozen(bits):  # the caller may still write it: copy
+            bits = bits.astype(np.uint8)
         bits = np.ascontiguousarray(bits, dtype=np.uint8)
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
@@ -108,6 +117,7 @@ def _parse_p1(data: bytes, pos: int, width: int, height: int) -> BinaryImage:
             raise PbmError(f"invalid P1 sample byte {bad:#x}")
         count += body.size
         if count == need:
+            bits.setflags(write=False)
             return BinaryImage(width, height, bits)
     raise PbmError("truncated P1 payload")
 
@@ -157,6 +167,7 @@ def parse_pbm(data) -> BinaryImage:
         raise PbmError("truncated P4 payload")
     rows = np.frombuffer(payload, dtype=np.uint8).reshape(height, row_bytes)
     unpacked = np.unpackbits(rows, axis=1, count=width)  # MSB-first, no pad
+    unpacked.setflags(write=False)
     return BinaryImage(width, height, unpacked.reshape(-1))
 
 
@@ -184,4 +195,5 @@ def flip_pixel(img: BinaryImage, index: int) -> BinaryImage:
         raise IndexError(f"pixel index {index} out of range")
     bits = img.bits.copy()
     bits[index] ^= 1
+    bits.setflags(write=False)
     return BinaryImage(img.width, img.height, bits)

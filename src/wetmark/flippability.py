@@ -68,8 +68,9 @@ class FlippabilityMask:
 
     def to_image(self) -> BinaryImage:
         """Render the mask as an image (flippable = black)."""
-        return BinaryImage(self.width, self.height,
-                           self.flags.astype(np.uint8))
+        bits = self.flags.astype(np.uint8)
+        bits.setflags(write=False)
+        return BinaryImage(self.width, self.height, bits)
 
 
 def compute_mask(img: BinaryImage) -> FlippabilityMask:

@@ -123,6 +123,7 @@ def embed(img: BinaryImage, key: StegoKey,
             f"capacity exhausted after {embedded} of {len(message)} bits")
     out_bits = img.bits.copy()
     out_bits[idx[areas.flips]] ^= 1
+    out_bits.setflags(write=False)
     return (BinaryImage(img.width, img.height, out_bits),
             _report(areas, leftover, areas.flips.sum(axis=1).tolist()))
 

@@ -83,10 +83,11 @@ def message_bits(message) -> np.ndarray:
 
 
 def _check_width(words, n: int) -> None:
-    """Refuse packed vectors that are not ceil(n/64) words wide."""
-    if np.shape(words)[-1:] != ((n + 63) // 64,):
+    """Refuse packed vectors that are not ceil(n/64) uint64 words wide."""
+    words = np.asarray(words)
+    if words.shape[-1:] != ((n + 63) // 64,) or words.dtype != np.uint64:
         raise ValueError(f"an area of {n} bits packs into {(n + 63) // 64} "
-                         f"words, got shape {np.shape(words)}")
+                         f"words, got {words.dtype} of shape {words.shape}")
 
 
 def restrict_columns(rows_words: np.ndarray, flippable: np.ndarray) -> np.ndarray:

@@ -61,6 +61,7 @@ def test_criterion_1_flippability_oracle():
     with criterion(1, "flippability oracle + symmetry on all 512 patterns",
                    limit_s=1.0):
         maps = dihedral_mappings()
+        assert len({tuple(m) for m in maps}) == 8
         for code in range(512):
             value = wm.is_flippable(code)
             assert value == oracle_is_flippable(code)

@@ -332,3 +332,18 @@ def test_image_is_immutable():
     img = BinaryImage(2, 2, np.zeros(4, dtype=np.uint8))
     with pytest.raises(ValueError):
         img.bits[0] = 1
+
+
+def test_image_copies_an_array_its_caller_can_write():
+    """A writable array stays the caller's: the image neither freezes it
+    nor sees later writes to it, also through a view. An array that no
+    one can write is kept as it is."""
+    a = np.zeros(9, dtype=np.uint8)
+    BinaryImage(3, 3, a)
+    a[0] = 1
+    g = np.zeros((3, 3), dtype=np.uint8)
+    img = BinaryImage(3, 3, g.reshape(-1))
+    g[1, 1] = 1
+    assert img.bits[4] == 0
+    a.setflags(write=False)
+    assert np.shares_memory(BinaryImage(3, 3, a).bits, a)

@@ -79,53 +79,6 @@ def test_roundtrip_random_messages(rng):
         assert np.array_equal(wm.extract(stego, KEY), msg)
 
 
-def test_capacity_boundary(rng):
-    img = synth_image(128, 128, 77)
-    cap = wm.capacity(img, KEY).n_embedded
-    msg = rng.integers(0, 2, cap).astype(np.uint8)
-    stego, report = wm.embed(img, KEY, msg)
-    assert report.n_embedded == cap
-    assert np.array_equal(wm.extract(stego, KEY), msg)
-    with pytest.raises(MessageTooLongError):
-        wm.embed(img, KEY, np.append(msg, 1).astype(np.uint8))
-
-
-def test_support_is_subset_of_mask(rng):
-    img = synth_image(96, 96, 4)
-    mask = wm.compute_mask(img)
-    cap = wm.capacity(img, KEY).n_embedded
-    msg = rng.integers(0, 2, cap).astype(np.uint8)
-    stego, _ = wm.embed(img, KEY, msg)
-    diff = np.nonzero(stego.bits ^ img.bits)[0]
-    assert set(diff.tolist()) <= set(mask.indices.tolist())
-
-
-def test_leftover_pixels_untouched(rng):
-    img = synth_image(100, 70, 5)  # 7000 pixels -> 1 area, 2904 leftover
-    p = plan(img, KEY)
-    assert p.leftover_pixels == 7000 - AREA_SIZE
-    cap = wm.capacity(img, KEY).n_embedded
-    msg = rng.integers(0, 2, cap).astype(np.uint8)
-    stego, _ = wm.embed(img, KEY, msg)
-    leftover = p.permutation[p.n_areas * AREA_SIZE:]
-    assert np.array_equal(stego.bits[leftover], img.bits[leftover])
-    # flipping a leftover pixel never changes extraction
-    poked = wm.flip_pixel(stego, int(leftover[0]))
-    assert np.array_equal(wm.extract(poked, KEY), wm.extract(stego, KEY))
-
-
-def test_accounting_identities(rng):
-    img = synth_image(128, 128, 6)
-    cap_report = wm.capacity(img, KEY)
-    msg = rng.integers(0, 2, cap_report.n_embedded).astype(np.uint8)
-    stego, report = wm.embed(img, KEY, msg)
-    assert report.n_embedded == sum(r.q_p for r in report.per_area)
-    hb = 12
-    assert report.n_embedded <= report.n_flippable - hb * report.n_areas
-    assert report.n_areas == (128 * 128) // AREA_SIZE
-    assert report.n_flippable == cap_report.n_flippable
-
-
 @pytest.mark.parametrize("kind", ["text", "iid"])
 def test_capacity_is_embed_at_capacity_area_by_area(rng, kind):
     """Capacity and embed plan the areas alike: at exactly N_E bits every
