@@ -6,6 +6,7 @@ also PBM's convention, so no inversion happens anywhere.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -32,14 +33,16 @@ class PbmError(ValueError):
     """Malformed PBM input."""
 
 
-def _check_size(width: int, height: int, error: type[ValueError]) -> None:
-    """Raise ``error`` unless a width x height image is within the caps."""
+def _check_size(width, height, error: type[ValueError]) -> tuple[int, int]:
+    """The sizes as ints; raise ``error`` unless they are within the caps."""
+    width, height = operator.index(width), operator.index(height)
     if width < 1 or height < 1:
         raise error("non-positive dimensions")
     if width > MAX_SIDE or height > MAX_SIDE:
         raise error(f"dimensions exceed {MAX_SIDE}")
     if width * height > MAX_PIXELS:
         raise error(f"image exceeds {MAX_PIXELS} pixels")
+    return width, height
 
 
 def _frozen(array: np.ndarray) -> bool:
@@ -58,7 +61,9 @@ class BinaryImage:
     bits: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_size(self.width, self.height, ValueError)
+        width, height = _check_size(self.width, self.height, ValueError)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
         bits = np.asarray(self.bits)
         if bits.shape != (self.width * self.height,):
             raise ValueError("bits length must equal width*height")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitmap import BinaryImage
+from .bitmap import BinaryImage, _frozen
 
 
 def _ring_groups(codes: np.ndarray, color: int) -> np.ndarray:
@@ -52,11 +52,21 @@ def is_flippable(code: int) -> bool:
 @dataclass(frozen=True)
 class FlippabilityMask:
     """Which pixels of an image are flippable: one read-only boolean flag
-    per pixel, in raster order, as ``compute_mask`` writes it."""
+    per pixel, in raster order, copied if the caller can still write it."""
 
     width: int
     height: int
     flags: np.ndarray = field(repr=False)  # width*height bools, flat
+
+    def __post_init__(self):
+        flags = np.asarray(self.flags)
+        if flags.shape != (self.width * self.height,) or (
+                flags.dtype != bool and not np.isin(flags, (0, 1)).all()):
+            raise ValueError("flags must be width*height values of 0 or 1")
+        # copied unless neither it nor any array it views can be written
+        flags = np.array(flags, bool, copy=None if _frozen(flags) else True)
+        flags.setflags(write=False)
+        object.__setattr__(self, "flags", flags)
 
     @property
     def indices(self) -> np.ndarray:

@@ -14,7 +14,8 @@ topology tests and of a 3x3 window for ``oracle_is_flippable``, and
 ``oracle_mask_flags`` builds the flippability mask from nine shifted
 copies of the image, one per window cell. The GF(2) helpers at the end
 hold rows as Python ints (bit j of a row int = column j): ``rank`` feeds
-``oracle_prefix``, and ``brute_solutions`` searches every assignment.
+``oracle_prefix``, ``pivot_columns`` names the columns that a solve may
+set, and ``brute_solutions`` searches every assignment.
 ``solve`` and ``max_independent_prefix`` among them are not oracles but
 thin adapters that run the library's word engine on such rows, while
 ``oracle_solve`` eliminates on the ints alone. ``oracle_embed`` puts the
@@ -443,6 +444,22 @@ def oracle_prefix(rows: list[int]) -> int:
     p whose rows[0:p+1] have ``rank`` at most p, else all of them."""
     return next((p for p in range(len(rows)) if rank(rows[:p + 1]) <= p),
                 len(rows))
+
+
+def pivot_columns(rows: list[int], cols: int) -> int:
+    """Columns that take a pivot when eliminating column by column: those
+    outside the span of the columns before them."""
+    basis, out = {}, 0  # lowest set bit -> reduced column
+    for c in range(cols):
+        col = bits_to_int([(row >> c) & 1 for row in rows])
+        while col:
+            low = col & -col
+            if low not in basis:
+                basis[low] = col
+                out |= 1 << c
+                break
+            col ^= basis[low]
+    return out
 
 
 def brute_solutions(rows: list[int], cols: int, rhs: int) -> list[int]:

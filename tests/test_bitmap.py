@@ -326,6 +326,10 @@ def test_image_invariants():
         BinaryImage(0, 2, np.zeros(0, dtype=np.uint8))
     with pytest.raises(ValueError, match="pixels"):
         BinaryImage(MAX_SIDE, MAX_SIDE, np.zeros(0, dtype=np.uint8))
+    with pytest.raises(TypeError):
+        BinaryImage(3.0, 3, np.zeros(9, dtype=np.uint8))
+    img = BinaryImage(np.int64(3), np.uint16(3), np.zeros(9, dtype=np.uint8))
+    assert type(img.width) is type(img.height) is int
 
 
 def test_image_is_immutable():

@@ -14,6 +14,7 @@ from reference import (
     max_independent_prefix,
     oracle_prefix,
     pad_blocks,
+    pivot_columns,
     rank,
     rows_to_words,
     solve,
@@ -130,73 +131,7 @@ def test_mat_vec_words_agrees_with_ints():
     assert got == expected
 
 
-@pytest.mark.parametrize("cols, shapes", [
-    # (rows, first column, columns used) per system. Mixed sizes: empty,
-    # padded within a stack, rank-deficient.
-    (8, [(5, 0, 8), (0, 0, 8), (7, 0, 8), (6, 0, 8), (1, 0, 8), (12, 0, 8),
-         (9, 0, 8), (3, 0, 8)]),
-    # Rows that start in different words, and pivots spread over several
-    # words within one system.
-    (200, [(80, 0, 150), (70, 40, 120), (20, 130, 62), (100, 0, 100),
-           (65, 64, 64)]),
-])
-def test_stacked_systems_match_single_ones(cols, shapes):
-    """One elimination over stacked systems gives each system the prefix
-    and the solutions it has on its own."""
-    r = np.random.default_rng(cols)
-
-    def row(start, width):
-        bits = r.integers(0, 2, width).tolist()
-        return bits_to_int(bits) << start
-
-    systems = [[row(start, width) for _ in range(n)]
-               for n, start, width in shapes]
-    systems[0][3] = systems[0][1] ^ systems[0][2]
-    sizes = [len(s) for s in systems]
-    words = np.concatenate([rows_to_words(rows, cols) for rows in systems])
-    echelon = gf2.Echelon(pad_blocks(words, sizes), len(systems))
-    assert echelon.prefix[0] <= 3
-    for rows, p in zip(systems, echelon.prefix.tolist()):
-        assert rank(rows[:p]) == p
-        assert p == len(rows) or rank(rows[:p + 1]) == p
-    for _ in range(20):
-        use = [int(r.integers(0, len(s) + 1)) for s in systems]
-        rhs = [bits_to_int(r.integers(0, 2, u).tolist()) for u in use]
-        rhs_bits = np.concatenate(
-            [int_to_bits(b, len(s)) for b, s in zip(rhs, systems)])
-        v, consistent = echelon.solve(pad_blocks(rhs_bits, sizes), use)
-        for i, rows in enumerate(systems):
-            alone = solve(rows[:use[i]], cols, rhs[i])
-            assert consistent[i] == (alone is not None)
-            # consistent exactly when the rhs column adds no rank
-            augmented = [row | ((rhs[i] >> j) & 1) << cols
-                         for j, row in enumerate(rows[:use[i]])]
-            assert consistent[i] == (rank(augmented) == rank(rows[:use[i]]))
-            if cols <= 8:
-                assert consistent[i] == bool(
-                    brute_solutions(rows[:use[i]], cols, rhs[i]))
-            if alone is not None:
-                assert words_to_int(v[i]) == alone
-                assert mat_vec(rows[:use[i]], alone) == rhs[i]
-
-
 # --- blocks of 8 columns against the Python-int oracles --------------------
-
-def pivot_columns(rows, cols):
-    """Columns that take a pivot when eliminating column by column: those
-    outside the span of the columns before them."""
-    basis, out = {}, 0  # lowest set bit -> reduced column
-    for c in range(cols):
-        col = bits_to_int([(row >> c) & 1 for row in rows])
-        while col:
-            low = col & -col
-            if low not in basis:
-                basis[low] = col
-                out |= 1 << c
-                break
-            col ^= basis[low]
-    return out
-
 
 def check_stack(systems, cols, r):
     """Prefix and solves of one stacked elimination against ranks,
@@ -209,7 +144,7 @@ def check_stack(systems, cols, r):
         assert p == len(rows) or rank(rows[:p + 1]) == p
     uses = [[len(s) for s in systems], echelon.prefix.tolist()]
     uses += [[int(r.integers(0, len(s) + 1)) for s in systems]
-             for _ in range(3)]
+             for _ in range(20)]
     for use in uses:
         rhs = [bits_to_int(r.integers(0, 2, u).tolist()) for u in use]
         rhs_bits = np.concatenate(
@@ -275,6 +210,24 @@ def test_block_edges_one_system_pivots_alone():
     alone = rows_over(r, 24, range(24))
     others = [rows_over(r, n, [*range(8), *range(16, 24)]) for n in (24, 10)]
     check_stack([alone] + others, 24, r)
+
+
+@pytest.mark.parametrize("cols, shapes", [
+    # (rows, first column, columns used) per system. Mixed sizes: empty,
+    # padded within a stack, rank-deficient.
+    (8, [(5, 0, 8), (0, 0, 8), (7, 0, 8), (6, 0, 8), (1, 0, 8), (12, 0, 8),
+         (9, 0, 8), (3, 0, 8)]),
+    # Rows that start in different words, and pivots spread over several
+    # words within one system.
+    (200, [(80, 0, 150), (70, 40, 120), (20, 130, 62), (100, 0, 100),
+           (65, 64, 64)]),
+])
+def test_block_edges_mixed_system_shapes(cols, shapes):
+    r = np.random.default_rng(cols)
+    systems = [rows_over(r, n, range(start, start + width))
+               for n, start, width in shapes]
+    systems[0][3] = systems[0][1] ^ systems[0][2]  # a dependent row
+    check_stack(systems, cols, r)
 
 
 # --- differential test against the column-at-a-time elimination -----------
