@@ -45,11 +45,27 @@ def _check_size(width, height, error: type[ValueError]) -> tuple[int, int]:
     return width, height
 
 
-def _frozen(array: np.ndarray) -> bool:
-    """Whether neither ``array`` nor any array it views can be written."""
-    while isinstance(array, np.ndarray) and not array.flags.writeable:
-        array = array.base
-    return array is None
+def _own_raster(raster, name: str, dtype) -> None:
+    """Check a frozen raster's sizes and its flat array ``name`` of
+    width*height 0/1 values, as given (a cast would wrap 256 to 0), and
+    store them, the array read-only, C-ordered and of ``dtype``: copied
+    unless neither it nor any array it views can be written."""
+    width, height = _check_size(raster.width, raster.height, ValueError)
+    array = base = np.asarray(getattr(raster, name))
+    if array.shape != (width * height,):
+        raise ValueError(f"{name} must be width*height flat values")
+    # max() is exact on uint8 and bool needs no check: no image-sized temporary
+    if (array.max() > 1 if array.dtype == np.uint8 else array.dtype != bool
+            and not ((array == 0) | (array == 1)).all()):
+        raise ValueError(f"{name} must be 0 or 1")
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    array = np.array(array, dtype, copy=None if base is None else True,
+                     order="C")
+    array.setflags(write=False)
+    object.__setattr__(raster, "width", width)
+    object.__setattr__(raster, "height", height)
+    object.__setattr__(raster, name, array)
 
 
 @dataclass(frozen=True)
@@ -61,22 +77,7 @@ class BinaryImage:
     bits: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        width, height = _check_size(self.width, self.height, ValueError)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        bits = np.asarray(self.bits)
-        if bits.shape != (self.width * self.height,):
-            raise ValueError("bits length must equal width*height")
-        # Checked before the cast, which would wrap 256 to 0; max() is
-        # exact on uint8 and makes no image-sized temporary.
-        if (bits.max() > 1 if bits.dtype == np.uint8
-                else not ((bits == 0) | (bits == 1)).all()):
-            raise ValueError("bits must be 0 or 1")
-        if not _frozen(bits):  # the caller may still write it: copy
-            bits = bits.astype(np.uint8)
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+        _own_raster(self, "bits", np.uint8)
 
     def grid(self) -> np.ndarray:
         """Read-only (height, width) view."""

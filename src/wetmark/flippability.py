@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitmap import BinaryImage, _frozen
+from .bitmap import BinaryImage, _own_raster
 
 
 def _ring_groups(codes: np.ndarray, color: int) -> np.ndarray:
@@ -51,22 +51,23 @@ def is_flippable(code: int) -> bool:
 
 @dataclass(frozen=True)
 class FlippabilityMask:
-    """Which pixels of an image are flippable: one read-only boolean flag
-    per pixel, in raster order, copied if the caller can still write it."""
+    """Which pixels of an image of 3x3 or more are flippable: one bool
+    per pixel, in raster order, kept as ``BinaryImage`` keeps its bits."""
 
     width: int
     height: int
     flags: np.ndarray = field(repr=False)  # width*height bools, flat
 
     def __post_init__(self):
-        flags = np.asarray(self.flags)
-        if flags.shape != (self.width * self.height,) or (
-                flags.dtype != bool and not np.isin(flags, (0, 1)).all()):
-            raise ValueError("flags must be width*height values of 0 or 1")
-        # copied unless neither it nor any array it views can be written
-        flags = np.array(flags, bool, copy=None if _frozen(flags) else True)
-        flags.setflags(write=False)
-        object.__setattr__(self, "flags", flags)
+        _own_raster(self, "flags", bool)
+        if self.width < 3 or self.height < 3:
+            raise ValueError("image must be at least 3x3")
+
+    def __eq__(self, other):
+        if not isinstance(other, FlippabilityMask):
+            return NotImplemented
+        return (self.width == other.width and self.height == other.height
+                and np.array_equal(self.flags, other.flags))
 
     @property
     def indices(self) -> np.ndarray:
@@ -86,10 +87,9 @@ class FlippabilityMask:
 def compute_mask(img: BinaryImage) -> FlippabilityMask:
     """Slide the 3x3 window over every interior pixel of the original image.
 
-    Border pixels (incomplete window) are never flippable.
+    Border pixels (incomplete window) are never flippable. The mask
+    refuses an image under 3x3.
     """
-    if img.width < 3 or img.height < 3:
-        raise ValueError("image must be at least 3x3")
     g = img.grid()
     # bit dr*3 + dc of a code is cell (dr, dc): a 3-bit code per pixel along
     # each row, then three rows of those, the last row's in the top bits

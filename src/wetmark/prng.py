@@ -9,6 +9,7 @@ reproducible without knowing the final row count.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -109,9 +110,9 @@ def permutation(key: StegoKey, n_total: int) -> np.ndarray:
     except for links inside the chunk the pass is reading, which a few
     hops resolve. The result equals the sequential shuffle exactly.
     """
-    if not 1 <= n_total <= 1 << 32:
+    n = operator.index(n_total)
+    if not 1 <= n <= 1 << 32:
         raise ValueError("n_total must be in 1 .. 2**32")
-    n = n_total
     chunks = [(s, min(n, s + _CHUNK)) for s in range(0, n, _CHUNK)]
     seed = derive_seed(key, TAG_PERM)
     # Sort the swaps by (j_t, t), packed as j_t * 2**32 + t: each run of

@@ -10,6 +10,7 @@ which pixels were flippable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,8 @@ class AreaCodec:
     n: int = AREA_SIZE
 
     def __post_init__(self):
+        object.__setattr__(self, "area_index", operator.index(self.area_index))
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 2:
             raise ValueError("area size must be >= 2")
 

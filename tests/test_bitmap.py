@@ -15,6 +15,7 @@ from wetmark.bitmap import (
     parse_pbm,
     serialize_pbm,
 )
+from wetmark.flippability import FlippabilityMask
 
 from conftest import memory_peak
 from reference import oracle_parse_pbm, oracle_serialize_p1
@@ -317,19 +318,24 @@ def test_flip_pixel_bounds():
         flip_pixel(img, -1)
 
 
-def test_image_invariants():
-    with pytest.raises(ValueError):
-        BinaryImage(2, 2, np.zeros(3, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        BinaryImage(2, 2, np.array([0, 1, 2, 0], dtype=np.uint8))
-    with pytest.raises(ValueError):
-        BinaryImage(0, 2, np.zeros(0, dtype=np.uint8))
+@pytest.mark.parametrize("raster, side", [(BinaryImage, 1),
+                                          (FlippabilityMask, 3)])
+def test_image_invariants(raster, side):
+    """Both 1-bit rasters take sizes and values by one rule; ``side`` is
+    the least width and height each accepts."""
+    with pytest.raises(ValueError, match="width\\*height"):
+        raster(3, 3, np.zeros(8, dtype=np.uint8))
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        raster(3, 3, np.array([0, 1, 2] + [0] * 6, dtype=np.uint8))
+    for width, height in ((0, 3), (-3, -3), (side - 1, 9), (9, side - 1)):
+        with pytest.raises(ValueError):
+            raster(width, height, np.zeros(width * height, np.uint8))
     with pytest.raises(ValueError, match="pixels"):
-        BinaryImage(MAX_SIDE, MAX_SIDE, np.zeros(0, dtype=np.uint8))
+        raster(MAX_SIDE, MAX_SIDE, np.zeros(0, dtype=np.uint8))
     with pytest.raises(TypeError):
-        BinaryImage(3.0, 3, np.zeros(9, dtype=np.uint8))
-    img = BinaryImage(np.int64(3), np.uint16(3), np.zeros(9, dtype=np.uint8))
-    assert type(img.width) is type(img.height) is int
+        raster(3.0, 3, np.zeros(9, dtype=np.uint8))
+    made = raster(np.int64(3), np.uint16(side), np.zeros(3 * side, np.uint8))
+    assert type(made.width) is type(made.height) is int
 
 
 def test_image_is_immutable():

@@ -132,6 +132,20 @@ def test_mask_owns_and_checks_its_flags():
             FlippabilityMask(3, 3, bad)
     made = compute_mask(synth_image(16, 12, 3))
     assert FlippabilityMask(16, 12, made.flags).flags is made.flags
+    strided = np.zeros(18, dtype=bool)
+    strided.setflags(write=False)  # so no one can write its view either
+    assert FlippabilityMask(3, 3, strided[::2]).flags.flags.c_contiguous
+
+
+def test_masks_compare_by_sizes_and_flags():
+    img = synth_image(16, 12, 3)
+    mask = compute_mask(img)
+    assert mask == compute_mask(img)
+    flags = mask.flags.copy()
+    flags[mask.indices[0]] = False
+    assert mask != FlippabilityMask(16, 12, flags)
+    assert mask != FlippabilityMask(12, 16, mask.flags)
+    assert mask != mask.to_image()
 
 
 def test_mask_to_image_roundtrip():

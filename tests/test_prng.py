@@ -199,6 +199,10 @@ def test_permutation_size_limits():
         permutation(StegoKey(b"k"), 0)
     with pytest.raises(ValueError):
         permutation(StegoKey(b"k"), (1 << 32) + 1)
+    with pytest.raises(TypeError):
+        permutation(StegoKey(b"k"), 10.0)
+    assert permutation(StegoKey(b"k"), np.int64(10)).tolist() == \
+        permutation(StegoKey(b"k"), 10).tolist()
 
 
 @given(st.binary(min_size=1, max_size=16), st.integers(1, 500))

@@ -133,6 +133,11 @@ def test_restrict_columns_matches_per_bit_reference(rng, n):
 def test_area_codec_validation():
     with pytest.raises(ValueError):
         AreaCodec(StegoKey(b"k"), 0, n=1)
+    for area_index, n in ((0, 4096.0), (1.5, 4096)):
+        with pytest.raises(TypeError):
+            AreaCodec(StegoKey(b"k"), area_index, n)
+    codec = AreaCodec(StegoKey(b"k"), np.int64(2), np.uint16(4096))
+    assert type(codec.area_index) is type(codec.n) is int
 
 
 def _toy_areas(rng, ks):
