@@ -3,7 +3,8 @@
 
 The embedding touches only flippable pixels, yet the extractor needs
 nothing but the key: it recomputes the keyed shuffle and matrices and
-reads each area's syndrome.
+reads each area's syndrome. A key used for many pages of one size
+makes the shuffle once.
 """
 
 import numpy as np
@@ -55,6 +56,20 @@ def main():
     garbage = np.packbits(wm.extract(stego, StegoKey(b"wrong key"))).tobytes()
     print(f"\nwith the wrong key the syndrome is noise: "
           f"{garbage[:16]!r}... ({len(garbage)} bytes)")
+
+    # One key, many pages: the key keeps the shuffle of the last image size
+    # it saw, so further pages of that size skip it. Each page's stego and
+    # extract are those of a key made afresh for it.
+    print("\none key, many pages:")
+    for seed in (8, 9):
+        page = make_cover(seed=seed)
+        page_stego, _ = wm.embed(page, key, message)
+        fresh_stego, _ = wm.embed(page, StegoKey(b"demo key"), message)
+        assert page_stego == fresh_stego
+        bits = wm.extract(page_stego, key)
+        assert np.array_equal(bits, wm.extract(page_stego,
+                                               StegoKey(b"demo key")))
+        print(f"  page {seed}: {np.packbits(bits).tobytes()[:len(secret)]!r}")
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ def _own_raster(raster, name: str, dtype) -> None:
     object.__setattr__(raster, name, array)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # own __eq__; unhashable
 class BinaryImage:
     """Immutable 1-bit image; ``bits`` is flat, raster order, uint8 of 0/1."""
 

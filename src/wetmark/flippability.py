@@ -49,7 +49,7 @@ def is_flippable(code: int) -> bool:
     return bool(FLIP_TABLE[code])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # own __eq__; unhashable
 class FlippabilityMask:
     """Which pixels of an image of 3x3 or more are flippable: one bool
     per pixel, in raster order, kept as ``BinaryImage`` keeps its bits."""

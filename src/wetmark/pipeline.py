@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flippability, prng, wpc
+from . import flippability, wpc
 from .bitmap import BinaryImage
 from .flippability import FlippabilityMask
 from .prng import StegoKey
@@ -80,7 +80,7 @@ def _shuffle(img: BinaryImage, key: StegoKey) -> tuple[np.ndarray, np.ndarray]:
         raise ImageTooSmallError(
             f"{img.width}x{img.height}: need at least {AREA_SIZE} pixels "
             "and 3x3 geometry")
-    perm = prng.permutation(key, n_pixels)
+    perm = key.permutation(n_pixels)
     n_areas = n_pixels // AREA_SIZE
     return perm, perm[:n_areas * AREA_SIZE].reshape(n_areas, AREA_SIZE)
 

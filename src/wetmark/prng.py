@@ -30,10 +30,13 @@ _CHUNK = 1 << 14  # stream words drawn at a time, to bound temporaries
 
 @dataclass(frozen=True)
 class StegoKey:
-    """Shared secret: non-empty bytes-like, stored as bytes, digested once."""
+    """Shared secret: non-empty bytes-like, stored as bytes, digested once.
+    It keeps the permutation of the last size it shuffled, outside its value."""
 
     key_bytes: bytes
     digest: int = field(init=False, repr=False, compare=False)  # fnv1a64
+    _shuffled: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)  # (n_total, permutation)
 
     def __post_init__(self):
         if isinstance(self.key_bytes, str):
@@ -42,6 +45,21 @@ class StegoKey:
         if not self.key_bytes:
             raise ValueError("key must be non-empty")
         object.__setattr__(self, "digest", fnv1a64(self.key_bytes))
+
+    def permutation(self, n_total: int) -> np.ndarray:
+        """``permutation(self, n_total)``, read-only, kept until the key
+        shuffles another size. The pair is read and replaced as one object:
+        a thread sharing the key never gets a permutation of another size."""
+        n = operator.index(n_total)
+        kept = self._shuffled
+        if kept is None or kept[0] != n:
+            kept = (n, permutation(self, n))
+            kept[1].setflags(write=False)
+            object.__setattr__(self, "_shuffled", kept)
+        return kept[1]
+
+    def __reduce__(self):  # a pickle or copy is a new key: it keeps nothing
+        return type(self), (self.key_bytes,)
 
     @classmethod
     def from_text(cls, text: str) -> "StegoKey":

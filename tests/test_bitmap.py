@@ -336,6 +336,9 @@ def test_image_invariants(raster, side):
         raster(3.0, 3, np.zeros(9, dtype=np.uint8))
     made = raster(np.int64(3), np.uint16(side), np.zeros(3 * side, np.uint8))
     assert type(made.width) is type(made.height) is int
+    with pytest.raises(TypeError,  # compared by value, so not hashable
+                       match=f"^unhashable type: '{raster.__name__}'$"):
+        hash(made)
 
 
 def test_image_is_immutable():

@@ -25,6 +25,8 @@ def test_plan_paper_scale_geometry():
     p = plan(img, KEY)
     assert p.n_areas == 16
     assert p.leftover_pixels == 67500 - 16 * AREA_SIZE == 1964
+    with pytest.raises(ValueError, match="read-only"):  # the key keeps it
+        p.permutation[0] = 0
 
 
 def test_plan_exact_fit():
@@ -50,23 +52,25 @@ def test_empty_message_roundtrip():
 @pytest.mark.parametrize("message", [
     np.frombuffer(b"hi", np.uint8), [1, 255, 3], [-1], [0.5], [[0, 1]]])
 def test_embed_rejects_non_bit_messages(monkeypatch, message):
-    """The message is checked on entry, before the image is shuffled."""
+    """The message is checked on entry, before the image is shuffled. The
+    key is new: one that kept a permutation of this size would not shuffle."""
     def unreachable(*args):
         raise AssertionError("shuffled an image for a message that is not bits")
 
     monkeypatch.setattr(prng, "permutation", unreachable)
     with pytest.raises(ValueError,
                        match="^message must be a 1-D array of 0/1 bits$"):
-        wm.embed(synth_image(64, 64, 4), KEY, message)
+        wm.embed(synth_image(64, 64, 4), StegoKey(b"new"), message)
 
 
 def test_embed_refuses_more_bits_than_pixels(monkeypatch):
     """Each payload bit needs a pixel of its own, so a longer message is
-    refused on entry, before the image is shuffled."""
+    refused on entry, before the image is shuffled by a new key."""
     monkeypatch.setattr(prng, "permutation", None)
     with pytest.raises(MessageTooLongError, match="^message has more bits "
                        "than the image's 4096 pixels$"):
-        wm.embed(synth_image(64, 64, 4), KEY, np.zeros(4097, np.uint8))
+        wm.embed(synth_image(64, 64, 4), StegoKey(b"new"),
+                 np.zeros(4097, np.uint8))
 
 
 def test_roundtrip_random_messages(rng):
@@ -112,13 +116,33 @@ def test_shuffle_equalizes_area_capacity():
         assert k.std() / k.mean() < 0.25
 
 
-def test_determinism(rng):
-    img = synth_image(96, 96, 8)
+def test_determinism(monkeypatch, rng):
+    """Each call depends on the key's bytes only. A key keeps the
+    permutation of the last size it shuffled: one key used throughout
+    shuffles again only when the size changes, and its stegos, reports
+    and extracted bits are those of a new key for every call."""
     msg = rng.integers(0, 2, 100).astype(np.uint8)
-    s1, r1 = wm.embed(img, KEY, msg)
-    s2, r2 = wm.embed(img, KEY, msg)
-    assert s1 == s2 and r1 == r2
-    assert np.array_equal(wm.extract(s1, KEY), wm.extract(s2, KEY))
+
+    def calls(key_of):
+        out = []
+        for image in (synth_image(96, 96, 8), synth_image(64, 80, 8),
+                      synth_image(96, 96, 8)):
+            stego, report = wm.embed(image, key_of(), msg)
+            out.append((stego, report, wm.capacity(image, key_of()),
+                        wm.extract(stego, key_of()).tolist()))
+        return out
+
+    new = calls(lambda: StegoKey(b"pipeline-key"))
+    shuffled, shuffle = [], prng.permutation
+
+    def counted(key, n_total):
+        shuffled.append(n_total)
+        return shuffle(key, n_total)
+
+    monkeypatch.setattr(prng, "permutation", counted)
+    key = StegoKey(b"pipeline-key")
+    assert calls(lambda: key) == new
+    assert shuffled == [96 * 96, 64 * 80, 96 * 96]
 
 
 def test_wrong_key_roundtrip_contract(rng):
@@ -164,12 +188,12 @@ def test_dense_cover_memory_per_pixel():
     n = 256 * 256
     bits = np.random.default_rng(41).integers(0, 2, n, dtype=np.uint8)
     img = BinaryImage(256, 256, bits)
-    with memory_peak() as mem:
-        report = wm.capacity(img, KEY)
+    with memory_peak() as mem:  # a new key for each call: it shuffles
+        report = wm.capacity(img, StegoKey(b"pipeline-key"))
     assert mem.peak <= 125 * n
     message = np.ones(report.n_embedded, dtype=np.uint8)
     with memory_peak() as mem:
-        wm.embed(img, KEY, message)
+        wm.embed(img, StegoKey(b"pipeline-key"), message)
     assert mem.peak <= 125 * n
 
 
@@ -179,18 +203,25 @@ def test_dense_desk_cover_memory_per_pixel():
     iid 1024x1024 cover (256 areas of k near 900) stay within 23 B/pixel.
     Each stack is dropped once solved: one kept alive beside the next
     adds about 4.5 B/pixel. Kept at this size: at 512x512 the
-    permutation's share of the peak would hide the stacks'."""
+    permutation's share of the peak would hide the stacks'. Each of these
+    calls takes a new key, so the permutation is made within it. An
+    extract with the key that embedded reuses the key's permutation and
+    stays within 10 B/pixel (17.5 when it shuffles)."""
     n = 1024 * 1024
     bits = np.random.default_rng(42).integers(0, 2, n, dtype=np.uint8)
     img = BinaryImage(1024, 1024, bits)
     with memory_peak() as mem:
-        report = wm.capacity(img, KEY)
+        report = wm.capacity(img, StegoKey(b"pipeline-key"))
     assert report.n_areas == 256 and report.n_flippable > 200_000
     assert mem.peak <= 23 * n
     message = np.ones(report.n_embedded, dtype=np.uint8)
+    key = StegoKey(b"pipeline-key")
     with memory_peak() as mem:
-        wm.embed(img, KEY, message)
+        stego, _ = wm.embed(img, key, message)
     assert mem.peak <= 23 * n
+    with memory_peak() as mem:
+        wm.extract(stego, key)
+    assert mem.peak <= 10 * n
 
 
 def test_extract_too_small():
@@ -204,20 +235,29 @@ def test_extract_matches_area_by_area_decoding(monkeypatch, rng, group_areas):
     """``extract`` reads the headers a group of areas at a time. Its bits
     are the per-area decoders' in order, on a stego image at capacity, on
     a cover that was never embedded and under a wrong key; in the last
-    two the headers announce arbitrary lengths up to 4095."""
+    two the headers announce arbitrary lengths up to 4095. The key that
+    plans, embeds and extracts from both images of the size shuffles once;
+    the wrong key shuffles once more."""
     hb_words = 12 * (AREA_SIZE // 64)  # header stream words of one area
     if group_areas is not None:
         monkeypatch.setattr(wpc, "HEADER_GROUP_WORDS", group_areas * hb_words)
-    img = synth_image(420, 420, 21)
+    shuffled, shuffle = [], prng.permutation
+
+    def counted(key, n_total):
+        shuffled.append(key)
+        return shuffle(key, n_total)
+
+    monkeypatch.setattr(prng, "permutation", counted)
+    img, right = synth_image(420, 420, 21), StegoKey(b"pipeline-key")
     n_areas = img.bits.size // AREA_SIZE
     assert n_areas == 43 and n_areas % (wpc.HEADER_GROUP_WORDS // hb_words)
-    message = rng.integers(0, 2, wm.capacity(img, KEY).n_embedded,
+    message = rng.integers(0, 2, wm.capacity(img, right).n_embedded,
                            dtype=np.uint8)
-    stego, _ = wm.embed(img, KEY, message)
-    for image, key, marked in [(stego, KEY, True), (img, KEY, False),
+    stego, _ = wm.embed(img, right, message)
+    for image, key, marked in [(stego, right, True), (img, right, False),
                                (stego, StegoKey(b"wrong"), False)]:
         got = wm.extract(image, key)
-        perm = prng.permutation(key, image.bits.size)
+        perm = shuffle(key, image.bits.size)
         words = wpc.pack_bits(
             image.bits[perm[:n_areas * AREA_SIZE].reshape(n_areas, -1)])
         per_area = [wpc.extract_area(words[a], AreaCodec(key, a))
@@ -230,6 +270,7 @@ def test_extract_matches_area_by_area_decoding(monkeypatch, rng, group_areas):
             assert np.array_equal(got, message)
         else:
             assert max(map(len, oracle)) > 3500
+    assert shuffled == [right, StegoKey(b"wrong")]
 
 
 def test_embed_makes_keyed_rows_a_group_of_areas_at_a_time(monkeypatch, rng):

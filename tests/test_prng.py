@@ -1,4 +1,7 @@
 import hashlib
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -78,12 +81,17 @@ def test_derive_seed_determinism_and_separation():
 def test_key_is_stored_as_bytes():
     """A bytes-like key is copied to bytes: it hashes, and a later change
     to its source changes neither its bytes nor its digest. Text goes
-    through ``StegoKey.from_text``."""
+    through ``StegoKey.from_text``. A pickle of a key that shuffled is
+    that of a new key: the kept permutation stays behind."""
     source = bytearray(b"ab")
     key = StegoKey(source)
     source[0] = ord("z")
     assert key == StegoKey(b"ab") and hash(key) == hash(StegoKey(b"ab"))
     assert key.digest == oracle_fnv(b"ab")
+    key.permutation(10)
+    assert pickle.dumps(key) == pickle.dumps(StegoKey(b"ab"))
+    revived = pickle.loads(pickle.dumps(key))
+    assert revived == key and not revived.permutation(10).flags.writeable
     with pytest.raises(TypeError, match="StegoKey.from_text"):
         StegoKey("ab")
 
@@ -103,8 +111,40 @@ def test_key_is_hashed_once(monkeypatch):
     assert derive_seed(key, TAG_MATR, 7) == seed
     assert matrix_words(key, 7, 3, 128).reshape(-1).tolist() == \
         oracle_splitmix(seed, 6)
+    # The permutation a key keeps is not part of its value.
+    assert key.permutation(10).tolist() == permutation(twin, 10).tolist()
+    short.permutation(np.int64(5))
     assert key == twin and hash(key) == hash(twin)
     assert repr(short) == "StegoKey(key_bytes=b'ab')"
+
+
+def test_threads_sharing_a_key_get_the_size_they_ask_for():
+    """A key read by several threads, each asking in turn for two sizes,
+    hands every caller the permutation of its own size: the kept size and
+    permutation are read and replaced together."""
+    key = StegoKey(b"shared")
+    want = {n: permutation(key, n) for n in (100, 300)}
+    done, wrong = [], []
+
+    def work(first):
+        for i in range(300):
+            n = (100, 300)[(first + i) % 2]
+            if not np.array_equal(key.permutation(n), want[n]):
+                wrong.append(n)
+        done.append(first)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
 
 
 def test_empty_key_rejected():
